@@ -5,7 +5,8 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench speculation`.
 
-use ruu_issue::{AlwaysTaken, Btfn, Bypass, Mechanism, Predictor, SpecRuu, TwoBit};
+use ruu_issue::{Bypass, Mechanism};
+use ruu_predict::PredictorConfig;
 use ruu_sim_core::MachineConfig;
 use ruu_workloads::livermore;
 
@@ -46,31 +47,30 @@ fn main() {
             insts as f64 / cycles as f64
         );
 
-        let mk: Vec<Box<dyn Fn() -> Box<dyn Predictor>>> = vec![
-            Box::new(|| Box::new(AlwaysTaken)),
-            Box::new(|| Box::new(Btfn)),
-            Box::new(|| Box::new(TwoBit::default())),
-        ];
-        for make in &mk {
+        for predictor in [
+            PredictorConfig::AlwaysTaken,
+            PredictorConfig::Btfn,
+            PredictorConfig::default(),
+        ] {
             let mut cycles = 0;
             let mut insts = 0;
             let mut predicted = 0;
             let mut mispredicted = 0;
             let mut nullified = 0;
-            let mut name = "";
             for w in &suite {
-                let mut p = make();
-                let r = SpecRuu::new(cfg.clone(), entries, Bypass::Full)
-                    .run(&w.program, w.memory.clone(), w.inst_limit, p.as_mut())
-                    .expect("speculative RUU runs");
-                w.verify(&r.run.memory)
-                    .expect("speculative result verifies");
-                cycles += r.run.cycles;
-                insts += r.run.instructions;
-                predicted += r.spec.predicted;
-                mispredicted += r.spec.mispredicted;
-                nullified += r.spec.nullified;
-                name = p.name();
+                let r = Mechanism::SpecRuu {
+                    entries,
+                    bypass: Bypass::Full,
+                    predictor,
+                }
+                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
+                .expect("speculative RUU runs");
+                w.verify(&r.memory).expect("speculative result verifies");
+                cycles += r.cycles;
+                insts += r.instructions;
+                predicted += r.stats.predicted_branches;
+                mispredicted += r.stats.mispredicted_branches;
+                nullified += r.stats.nullified;
             }
             let mp = if predicted == 0 {
                 0.0
@@ -78,7 +78,7 @@ fn main() {
                 100.0 * mispredicted as f64 / predicted as f64
             };
             println!(
-                "| {entries} | spec RUU ({name}) | {:.3} | {:.3} | {mp:.1} | {nullified} |",
+                "| {entries} | spec RUU ({predictor}) | {:.3} | {:.3} | {mp:.1} | {nullified} |",
                 baseline as f64 / cycles as f64,
                 insts as f64 / cycles as f64
             );

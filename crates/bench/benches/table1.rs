@@ -4,7 +4,8 @@
 //! Run with `cargo bench -p ruu-bench --bench table1`.
 
 use ruu_bench::{baseline_rows, cache_ablation, predictor_ablation, report, stall_breakdown};
-use ruu_issue::{Bypass, Mechanism, PredictorConfig};
+use ruu_issue::{Bypass, Mechanism};
+use ruu_predict::PredictorConfig;
 use ruu_sim_core::{DCacheConfig, MachineConfig};
 
 fn main() {

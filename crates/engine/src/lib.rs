@@ -872,7 +872,7 @@ mod tests {
 
     #[test]
     fn speculative_jobs_report_branch_stats() {
-        use ruu_issue::PredictorConfig;
+        use ruu_predict::PredictorConfig;
         let engine = SweepEngine::new(mini_suite()).with_workers(2);
         let cfg = MachineConfig::paper();
         let jobs = vec![

@@ -2,8 +2,8 @@
 //! tags, reservation-station operands, the fetch frontend with branch dead
 //! cycles, and per-cycle broadcast records.
 
-use ruu_isa::{semantics, Inst, Opcode, Program, Reg};
-use ruu_sim_core::{MachineConfig, PipelineObserver, RunStats, StallReason};
+use ruu_isa::{semantics, Inst, Program, Reg};
+use ruu_sim_core::{MachineConfig, RunStats};
 
 /// A register-instance tag: names one in-flight producer of a register.
 ///
@@ -137,15 +137,9 @@ impl Frontend {
         Frontend {
             pc: start,
             next_fetch_cycle: 0,
-            halted: true, // overwritten below; placate clippy about field init
+            halted: false,
             pending_branch: None,
         }
-        .with_halted(false)
-    }
-
-    fn with_halted(mut self, h: bool) -> Self {
-        self.halted = h;
-        self
     }
 
     /// Current program counter (next instruction to decode).
@@ -220,11 +214,7 @@ impl Frontend {
         config: &MachineConfig,
         stats: &mut RunStats,
     ) -> bool {
-        let taken = if inst.opcode == Opcode::Jump {
-            true
-        } else {
-            semantics::branch_taken(inst.opcode, cond_value)
-        };
+        let taken = semantics::branch_taken(inst.opcode, cond_value);
         stats.branches += 1;
         let penalty = if taken {
             stats.taken_branches += 1;
@@ -240,39 +230,10 @@ impl Frontend {
     }
 }
 
-/// Observes the end of one simulated cycle and advances the clock: the
-/// occupancy statistics and the observer's `cycle_end` hook fire exactly
-/// once per simulated cycle (the in-order machines report their in-flight
-/// count as occupancy).
-pub(crate) fn end_cycle(
-    obs: &mut dyn PipelineObserver,
-    stats: &mut RunStats,
-    cycle: &mut u64,
-    occ: u32,
-) {
-    stats.observe_occupancy(occ);
-    obs.cycle_end(*cycle, occ);
-    *cycle += 1;
-}
-
-/// Charges a stall to `stats` for the non-issuing cycle described by
-/// `slot` (dead cycle vs parked branch), returning the reason charged so
-/// callers can mirror it to a pipeline observer.
-pub fn charge_frontend_stall(slot: &FetchSlot, stats: &mut RunStats) -> Option<StallReason> {
-    let reason = match slot {
-        FetchSlot::Dead => StallReason::DeadCycle,
-        FetchSlot::BranchParked => StallReason::BranchWait,
-        FetchSlot::Halted => StallReason::Drained,
-        FetchSlot::Inst(..) => return None,
-    };
-    stats.stall(reason);
-    Some(reason)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruu_isa::Asm;
+    use ruu_isa::{Asm, Opcode};
 
     fn prog() -> Program {
         let mut a = Asm::new("t");

@@ -1,41 +1,41 @@
 //! # ruu-issue — the instruction-issue mechanisms of the RUU paper
 //!
 //! Cycle-level, execution-driven simulators of every issue mechanism the
-//! paper discusses:
+//! paper discusses. Each [`Mechanism`] variant builds one of three cores;
+//! the variants differ only in the distinctions the paper draws:
 //!
-//! | Mechanism | Paper | Type |
+//! | Mechanism | Paper | Core |
 //! |---|---|---|
-//! | Simple in-order, blocking issue | §2.2, Table 1 | [`SimpleIssue`] |
+//! | `Simple`: in-order, blocking issue | §2.2, Table 1 | [`InOrder`], no scheme (imprecise) |
+//! | `Tomasulo`: distributed reservation stations | §3.1 | [`TaggedSim`], [`WindowKind::Distributed`] |
+//! | `TagUnitDistributed`: Tag Unit + distributed stations | §3.2.1 | [`TaggedSim`], [`WindowKind::TagUnitDistributed`] |
+//! | `RsPool`: Tag Unit + merged station pool | §3.2.2 | [`TaggedSim`], [`WindowKind::Pooled`] |
+//! | `Rstu`: the RSTU | §3.2.3, Tables 2–3 | [`TaggedSim`], [`WindowKind::Merged`] |
+//! | `InOrderPrecise`: Smith & Pleszkun buffers | §4 | [`InOrder`] with a [`PreciseScheme`] |
+//! | `Ruu`: the RUU, branches park in decode | §5–6, Tables 4–6 | [`Ruu`] |
+//! | `SpecRuu`: the RUU plus branch prediction | §7 | [`Ruu::with_predictor`] |
 //!
-//! All simulators share the [`ruu_sim_core::MachineConfig`] machine model
-//! and compute real operand values in their reservation stations
-//! (execution-driven), so each one's final architectural state is checked
-//! against the golden interpreter.
+//! All simulators share the [`ruu_sim_core::MachineConfig`] machine model,
+//! run behind the one-method [`IssueSimulator`] trait, and compute real
+//! operand values in their reservation stations (execution-driven), so
+//! each one's final architectural state is checked against the golden
+//! interpreter.
 
 use std::fmt;
 
 pub mod common;
+pub mod in_order;
 pub mod mechanism;
-pub mod predict;
-pub mod reorder;
 pub mod ruu;
-pub mod simple;
 pub mod simulator;
-pub mod spec_ruu;
 pub mod tag_unit;
 pub mod tagged;
 
 pub use common::{Broadcasts, FetchSlot, Frontend, Operand, PendingBranch, Tag};
+pub use in_order::{InOrder, PreciseScheme};
 pub use mechanism::Mechanism;
-pub use predict::{
-    AlwaysTaken, Bimodal, Btfn, Gshare, LocalPag, PredictError, Predictor, PredictorConfig,
-    TageLite, TwoBit,
-};
-pub use reorder::{InOrderPrecise, PreciseScheme};
-pub use ruu::{Bypass, CycleRecord, CycleTrace, InterruptFrame, RunOutcome, Ruu};
-pub use simple::SimpleIssue;
+pub use ruu::{Bypass, InterruptFrame, RunOutcome, Ruu};
 pub use simulator::IssueSimulator;
-pub use spec_ruu::{SpecRunResult, SpecRuu, SpecStats};
 pub use tag_unit::{TagRetirement, TagUnitModel, TuEntry};
 pub use tagged::{TaggedSim, WindowKind};
 

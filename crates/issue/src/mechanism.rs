@@ -7,12 +7,11 @@ use ruu_exec::Memory;
 use ruu_isa::Program;
 use ruu_sim_core::{MachineConfig, RunResult};
 
-use crate::predict::PredictorConfig;
-use crate::reorder::{InOrderPrecise, PreciseScheme};
+use ruu_predict::PredictorConfig;
+
+use crate::in_order::{InOrder, PreciseScheme};
 use crate::ruu::{Bypass, Ruu};
-use crate::simple::SimpleIssue;
 use crate::simulator::IssueSimulator;
-use crate::spec_ruu::SpecRuu;
 use crate::tagged::{TaggedSim, WindowKind};
 use crate::SimError;
 
@@ -101,7 +100,7 @@ impl Mechanism {
     #[must_use]
     pub fn build(&self, config: &MachineConfig) -> Box<dyn IssueSimulator> {
         match *self {
-            Mechanism::Simple => Box::new(SimpleIssue::new(config.clone())),
+            Mechanism::Simple => Box::new(InOrder::new(config.clone())),
             Mechanism::Tomasulo { rs_per_fu } => Box::new(TaggedSim::new(
                 config.clone(),
                 WindowKind::Distributed { rs_per_fu },
@@ -122,18 +121,13 @@ impl Mechanism {
                 Box::new(Ruu::new(config.clone(), entries, bypass))
             }
             Mechanism::InOrderPrecise { scheme, entries } => {
-                Box::new(InOrderPrecise::new(config.clone(), scheme, entries))
+                Box::new(InOrder::new(config.clone()).with_scheme(scheme, entries))
             }
             Mechanism::SpecRuu {
                 entries,
                 bypass,
                 predictor,
-            } => Box::new(SpecRuu::with_predictor(
-                config.clone(),
-                entries,
-                bypass,
-                predictor,
-            )),
+            } => Box::new(Ruu::new(config.clone(), entries, bypass).with_predictor(predictor)),
         }
     }
 
@@ -199,14 +193,7 @@ impl fmt::Display for Mechanism {
             }
             Mechanism::RsPool { rs, tags } => write!(f, "rs-pool(rs={rs},tags={tags})"),
             Mechanism::Rstu { entries } => write!(f, "rstu({entries})"),
-            Mechanism::Ruu { entries, bypass } => {
-                let b = match bypass {
-                    Bypass::Full => "bypass",
-                    Bypass::None => "no-bypass",
-                    Bypass::LimitedA => "limited-bypass",
-                };
-                write!(f, "ruu({entries},{b})")
-            }
+            Mechanism::Ruu { entries, bypass } => write!(f, "ruu({entries},{})", bypass.name()),
             Mechanism::InOrderPrecise { scheme, entries } => {
                 write!(f, "{}({entries})", scheme.name())
             }
@@ -214,14 +201,7 @@ impl fmt::Display for Mechanism {
                 entries,
                 bypass,
                 predictor,
-            } => {
-                let b = match bypass {
-                    Bypass::Full => "bypass",
-                    Bypass::None => "no-bypass",
-                    Bypass::LimitedA => "limited-bypass",
-                };
-                write!(f, "spec-ruu({entries},{b},{predictor})")
-            }
+            } => write!(f, "spec-ruu({entries},{},{predictor})", bypass.name()),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! The **Register Update Unit** (paper §5–6, Figure 5).
+//! The **Register Update Unit** (paper §5–7, Figure 5).
 //!
 //! The RUU is the paper's contribution: the merged reservation-station /
 //! tag-unit structure (RSTU) managed as a FIFO queue. Instructions enter at
@@ -22,17 +22,30 @@
 //! * [`Bypass::LimitedA`] — the A register file is shadowed by a *future
 //!   file* updated from the result bus; all other files behave as
 //!   [`Bypass::None`] (Table 6, §6.3).
+//!
+//! Two branch policies are modelled. Without a predictor, a conditional
+//! branch whose condition is not ready **parks in decode** until the value
+//! appears on a bus (§6.3). With one ([`Ruu::with_predictor`]), the
+//! machine is the §7 extension, **conditional execution**: the predicted
+//! path is fetched, speculative instructions execute but cannot commit past
+//! an unresolved branch, and a misprediction nullifies every younger entry:
+//! their NI/LI instances and load registers are released, and the A future
+//! file is restored from the branch's snapshot. Either way the
+//! architectural state is untouched by speculation, so the
+//! golden-equivalence tests hold for both.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use ruu_exec::{ArchState, Memory};
 use ruu_isa::{semantics, FuClass, Inst, Program, Reg, NUM_REGS};
+use ruu_predict::{Predictor, PredictorConfig};
 use ruu_sim_core::{
     DCache, FuPool, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind, NullObserver,
     PipelineObserver, RunResult, RunStats, SlotReservation, StallReason,
 };
 
-use crate::common::{Broadcasts, FetchSlot, Frontend, Operand, Tag};
+use crate::common::{Broadcasts, Operand, Tag};
+use crate::simulator::IssueSimulator;
 use crate::SimError;
 
 /// Operand-bypass policy of the RUU (paper §6).
@@ -48,6 +61,18 @@ pub enum Bypass {
     LimitedA,
 }
 
+impl Bypass {
+    /// Short display name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Bypass::Full => "bypass",
+            Bypass::None => "no-bypass",
+            Bypass::LimitedA => "limited-bypass",
+        }
+    }
+}
+
 /// The machine state captured when the RUU takes a precise interrupt.
 #[derive(Debug, Clone)]
 pub struct InterruptFrame {
@@ -58,8 +83,8 @@ pub struct InterruptFrame {
     pub memory: Memory,
     /// Program counter of the faulting instruction (restart point).
     pub resume_pc: u32,
-    /// Dynamic instructions committed before the interrupt (window
-    /// entries only; branches resolve in the issue stage).
+    /// Architectural instructions (commits and resolved branches)
+    /// completed before the interrupt: the faulting instruction's index.
     pub committed: u64,
     /// Cycle at which the interrupt was taken.
     pub cycle: u64,
@@ -76,69 +101,18 @@ pub enum RunOutcome {
     Interrupted(InterruptFrame),
 }
 
-/// One cycle of RUU activity, for pipeline visualisation (see
-/// `examples/pipeline_trace.rs`).
-#[derive(Debug, Clone, Default)]
-pub struct CycleRecord {
-    /// The cycle number.
-    pub cycle: u64,
-    /// Window occupancy at the start of the cycle.
-    pub occupancy: u32,
-    /// pc of the instruction that entered the RUU (or resolved, for a
-    /// branch) this cycle.
-    pub issued_pc: Option<u32>,
-    /// Sequence numbers dispatched to functional units this cycle.
-    pub dispatched: Vec<u64>,
-    /// Sequence numbers whose results appeared on the result bus.
-    pub finished: Vec<u64>,
-    /// Sequence numbers committed to the architectural state.
-    pub committed: Vec<u64>,
-}
-
-/// A bounded per-cycle activity log from [`Ruu::run_traced`].
-#[derive(Debug, Clone, Default)]
-pub struct CycleTrace {
-    /// Records for the first `capacity` cycles of the run.
-    pub cycles: Vec<CycleRecord>,
-    capacity: usize,
-}
-
-impl CycleTrace {
-    fn new(capacity: usize) -> Self {
-        CycleTrace {
-            cycles: Vec::new(),
-            capacity,
-        }
-    }
-
-    fn start_cycle(&mut self, cycle: u64, occupancy: u32) -> bool {
-        if self.cycles.len() >= self.capacity {
-            return false;
-        }
-        self.cycles.push(CycleRecord {
-            cycle,
-            occupancy,
-            ..CycleRecord::default()
-        });
-        true
-    }
-
-    fn cur(&mut self) -> Option<&mut CycleRecord> {
-        self.cycles.last_mut()
-    }
-}
-
 /// Configuration + entry point for the RUU simulator.
 #[derive(Debug, Clone)]
 pub struct Ruu {
     config: MachineConfig,
     entries: usize,
     bypass: Bypass,
+    predictor: Option<PredictorConfig>,
 }
 
 impl Ruu {
     /// Creates an RUU simulator with `entries` window entries and the
-    /// given bypass policy.
+    /// given bypass policy; branches park in decode (§6.3).
     ///
     /// # Panics
     /// Panics if `entries` is zero.
@@ -149,88 +123,36 @@ impl Ruu {
             config,
             entries,
             bypass,
+            predictor: None,
         }
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// Number of RUU entries.
-    #[must_use]
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// The bypass policy.
-    #[must_use]
-    pub fn bypass(&self) -> Bypass {
-        self.bypass
-    }
-
-    /// Runs `program` to completion from zeroed registers.
+    /// Speculates past unresolved branches with `predictor` (§7); each run
+    /// builds a fresh predictor from this configuration.
     ///
-    /// # Errors
-    /// [`SimError::InstLimit`] if more than `limit` instructions issue;
-    /// [`SimError::Deadlock`] on internal lack of progress (a bug).
-    pub fn run(&self, program: &Program, mem: Memory, limit: u64) -> Result<RunResult, SimError> {
-        match self.run_inner(ArchState::new(), mem, program, limit, None)? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
+    /// # Panics
+    /// Panics if `predictor` fails [`PredictorConfig::validate`].
+    #[must_use]
+    pub fn with_predictor(mut self, predictor: PredictorConfig) -> Self {
+        if let Err(e) = predictor.validate() {
+            panic!("invalid predictor configuration: {e}");
         }
+        self.predictor = Some(predictor);
+        self
     }
 
-    /// Runs `program` from an explicit architectural state (restart after
-    /// an interrupt).
-    ///
-    /// # Errors
-    /// As for [`Ruu::run`].
-    pub fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        match self.run_inner(state, mem, program, limit, None)? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
-        }
-    }
-
-    /// Runs `program` from an explicit architectural state, reporting
-    /// every pipeline event to `obs`.
-    ///
-    /// # Errors
-    /// As for [`Ruu::run`].
-    pub fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        let mut core = Core::new(self, state, mem, program, limit, None, obs);
-        match core.run()? {
-            RunOutcome::Completed(r) => Ok(r),
-            RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
-        }
-    }
-
-    /// Runs `program`, injecting an exception on the dynamic instruction
-    /// with sequence number `fault_seq` (0-based over *all* dynamic
-    /// instructions, branches included). The exception is detected when
-    /// the instruction reaches the head of the RUU, i.e. at the commit
-    /// point, and the interrupt is precise.
+    /// Runs `program`, injecting an exception on the instruction with
+    /// architectural index `fault_seq` (0-based over *all* dynamic
+    /// instructions of the correct path, branches included). The exception
+    /// is detected when the instruction reaches the head of the RUU, i.e.
+    /// at the commit point, and the interrupt is precise.
     ///
     /// The designated instruction must not be a branch (branches resolve
     /// in the decode stage and cannot fault in this model).
     ///
     /// # Errors
-    /// As for [`Ruu::run`].
+    /// [`SimError::InstLimit`] if more than `limit` instructions issue;
+    /// [`SimError::Deadlock`] on internal lack of progress (a bug).
     pub fn run_with_exception(
         &self,
         program: &Program,
@@ -238,43 +160,23 @@ impl Ruu {
         limit: u64,
         fault_seq: u64,
     ) -> Result<RunOutcome, SimError> {
-        self.run_inner(ArchState::new(), mem, program, limit, Some(fault_seq))
+        let mut nobs = NullObserver;
+        let state = ArchState::new();
+        Core::new(self, state, mem, program, limit, Some(fault_seq), &mut nobs).run()
     }
+}
 
-    fn run_inner(
+impl IssueSimulator for Ruu {
+    fn run_observed(
         &self,
         state: ArchState,
         mem: Memory,
         program: &Program,
         limit: u64,
-        fault_seq: Option<u64>,
-    ) -> Result<RunOutcome, SimError> {
-        let mut nobs = NullObserver;
-        let mut core = Core::new(self, state, mem, program, limit, fault_seq, &mut nobs);
-        core.run()
-    }
-
-    /// Runs `program` while logging per-cycle activity for the first
-    /// `trace_cycles` cycles (issue, dispatch, result-bus and commit
-    /// events) — a software logic analyser on the RUU's ports.
-    ///
-    /// # Errors
-    /// As for [`Ruu::run`].
-    pub fn run_traced(
-        &self,
-        program: &Program,
-        mem: Memory,
-        limit: u64,
-        trace_cycles: usize,
-    ) -> Result<(RunResult, CycleTrace), SimError> {
-        let mut nobs = NullObserver;
-        let mut core = Core::new(self, ArchState::new(), mem, program, limit, None, &mut nobs);
-        core.trace = Some(CycleTrace::new(trace_cycles));
-        match core.run()? {
-            RunOutcome::Completed(r) => {
-                let trace = core.trace.take().expect("trace was installed");
-                Ok((r, trace))
-            }
+        obs: &mut dyn PipelineObserver,
+    ) -> Result<RunResult, SimError> {
+        match Core::new(self, state, mem, program, limit, None, obs).run()? {
+            RunOutcome::Completed(r) => Ok(r),
             RunOutcome::Interrupted(_) => unreachable!("no fault was injected"),
         }
     }
@@ -302,6 +204,9 @@ enum MemPhase {
 #[derive(Debug, Clone)]
 struct Entry {
     seq: u64,
+    /// Architectural index: `seq` less the wrong-path instructions
+    /// squashed before this one issued.
+    index: u64,
     pc: u32,
     inst: Inst,
     dst_tag: Option<Tag>,
@@ -328,6 +233,25 @@ struct FfEntry {
     valid: bool,
 }
 
+/// An unresolved branch. A branch only *counts* architecturally when it
+/// reaches the front of the queue, i.e. when it is itself known to be on
+/// the correct path.
+#[derive(Debug, Clone)]
+struct BranchRecord {
+    seq: u64,
+    pc: u32,
+    inst: Inst,
+    /// The direction fetch followed: the actual outcome when the condition
+    /// was known at decode, else the prediction; `None` while the branch
+    /// is parked in decode (no predictor).
+    assumed_taken: Option<bool>,
+    cond: Operand,
+    /// A future file at decode (restoring is conservative: a legitimate
+    /// older broadcast in between re-arrives via the commit bus, so a
+    /// stale-invalid entry only delays, never corrupts).
+    ff: [FfEntry; 8],
+}
+
 struct Core<'a> {
     cfg: &'a MachineConfig,
     program: &'a Program,
@@ -335,6 +259,7 @@ struct Core<'a> {
     capacity: usize,
     limit: u64,
     fault_seq: Option<u64>,
+    predictor: Option<Box<dyn Predictor>>,
 
     cycle: u64,
     arch: ArchState,
@@ -343,6 +268,7 @@ struct Core<'a> {
     li: [u64; NUM_REGS],
     ff: [FfEntry; 8],
     window: VecDeque<Entry>,
+    branches: VecDeque<BranchRecord>,
     mem_queue: VecDeque<u64>,
     forward_queue: Vec<u64>,
     events: BTreeMap<u64, Vec<Event>>,
@@ -350,15 +276,26 @@ struct Core<'a> {
     fus: FuPool,
     bus: SlotReservation,
     dcache: DCache,
-    frontend: Frontend,
     broadcasts: Broadcasts,
     stats: RunStats,
-    issued: u64,
-    committed: u64,
-    trace: Option<CycleTrace>,
     obs: &'a mut dyn PipelineObserver,
+
+    pc: u32,
+    next_fetch_cycle: u64,
+    /// Fetch-stall cycles strictly before this cycle are misprediction
+    /// repair (squash + redirect) rather than ordinary branch bubbles.
+    repair_until: u64,
+    halted: bool,
+
+    /// Sequence number of the next instruction to issue (wrong-path
+    /// instructions included).
+    seq: u64,
+    /// Instructions squashed so far (window entries and branches).
+    squashed: u64,
+    /// Architectural completions: commits + resolved branches.
+    completed: u64,
     events_scheduled: u64,
-    last_progress: (u64, u64, u64),
+    last_progress: (u64, u64),
     last_progress_cycle: u64,
 }
 
@@ -385,14 +322,16 @@ impl<'a> Core<'a> {
             capacity: ruu.entries,
             limit,
             fault_seq,
+            predictor: ruu.predictor.map(|p| p.build()),
             cycle: 0,
-            frontend: Frontend::new(state.pc),
+            pc: state.pc,
             arch: state,
             mem,
             ni: [0; NUM_REGS],
             li: [0; NUM_REGS],
             ff: [FfEntry::default(); 8],
             window: VecDeque::new(),
+            branches: VecDeque::new(),
             mem_queue: VecDeque::new(),
             forward_queue: Vec::new(),
             events: BTreeMap::new(),
@@ -402,12 +341,15 @@ impl<'a> Core<'a> {
             dcache,
             broadcasts: Broadcasts::default(),
             stats: RunStats::default(),
-            issued: 0,
-            committed: 0,
-            trace: None,
             obs,
+            next_fetch_cycle: 0,
+            repair_until: 0,
+            halted: false,
+            seq: 0,
+            squashed: 0,
+            completed: 0,
             events_scheduled: 0,
-            last_progress: (0, 0, 0),
+            last_progress: (0, 0),
             last_progress_cycle: 0,
         }
     }
@@ -423,53 +365,36 @@ impl<'a> Core<'a> {
             .expect("entry for live seq is in the window")
     }
 
-    fn note(&mut self, f: impl FnOnce(&mut CycleRecord)) {
-        let cycle = self.cycle;
-        if let Some(t) = self.trace.as_mut() {
-            if let Some(rec) = t.cur() {
-                // Only record into the live cycle; once the trace is full
-                // (capacity reached) later cycles are not logged.
-                if rec.cycle == cycle {
-                    f(rec);
-                }
-            }
-        }
-    }
-
     fn schedule(&mut self, cycle: u64, ev: Event) {
         self.events_scheduled += 1;
         self.events.entry(cycle).or_default().push(ev);
     }
 
-    /// Broadcast on the result bus: gates waiting stations, the parked
-    /// branch, and updates the A future file.
-    fn broadcast_result(&mut self, tag: Tag, value: u64) {
+    fn stall(&mut self, reason: StallReason) {
+        self.stats.stall(reason);
+        self.obs.stall(self.cycle, reason);
+    }
+
+    /// A broadcast on either bus gates waiting stations and waiting
+    /// branches.
+    fn gate_all(&mut self, tag: Tag, value: u64) {
         self.broadcasts.push(tag, value);
         for e in &mut self.window {
             for op in &mut e.ops {
                 op.gate(tag, value);
             }
         }
-        if let Some(pb) = self.frontend.pending_branch_mut() {
-            pb.cond.gate(tag, value);
-        }
-        if tag.reg.is_a() && tag.instance == (self.li[tag.reg.index()] & self.tag_mask()) {
-            self.ff[tag.reg.num() as usize] = FfEntry { value, valid: true };
+        for b in &mut self.branches {
+            b.cond.gate(tag, value);
         }
     }
 
-    /// Broadcast on the RUU→register-file (commit) bus: gates waiting
-    /// stations and the parked branch, but does not touch the future file
-    /// (which mirrors the result bus).
-    fn broadcast_commit(&mut self, tag: Tag, value: u64) {
-        self.broadcasts.push(tag, value);
-        for e in &mut self.window {
-            for op in &mut e.ops {
-                op.gate(tag, value);
-            }
-        }
-        if let Some(pb) = self.frontend.pending_branch_mut() {
-            pb.cond.gate(tag, value);
+    /// Broadcast on the result bus: also updates the A future file (which
+    /// the RUU→register-file bus does not touch).
+    fn broadcast_result(&mut self, tag: Tag, value: u64) {
+        self.gate_all(tag, value);
+        if tag.reg.is_a() && tag.instance == (self.li[tag.reg.index()] & self.tag_mask()) {
+            self.ff[tag.reg.num() as usize] = FfEntry { value, valid: true };
         }
     }
 
@@ -493,7 +418,6 @@ impl<'a> Core<'a> {
         for ev in evs {
             match ev {
                 Event::Finish(seq) => {
-                    self.note(|r| r.finished.push(seq));
                     self.obs.complete(self.cycle, seq);
                     let i = self.pos(seq);
                     let e = &mut self.window[i];
@@ -540,27 +464,20 @@ impl<'a> Core<'a> {
             return;
         };
         let i = self.pos(seq);
-        let (ready, kind, imm) = {
-            let e = &self.window[i];
-            (
-                e.ops[0].is_ready(),
-                if e.inst.is_load() {
-                    MemOpKind::Load
-                } else {
-                    MemOpKind::Store
-                },
-                e.inst.imm,
-            )
-        };
-        if !ready {
+        let e = &self.window[i];
+        if !e.ops[0].is_ready() {
             return;
         }
-        let base = self.window[i].ops[0].value();
+        let kind = if e.inst.is_load() {
+            MemOpKind::Load
+        } else {
+            MemOpKind::Store
+        };
         // Canonicalize so the load registers compare the word actually
         // touched; raw effective addresses may alias one memory word.
         let ea = self
             .mem
-            .canonicalize(semantics::effective_address(base, imm));
+            .canonicalize(semantics::effective_address(e.ops[0].value(), e.inst.imm));
         let Some(outcome) = self.lr.process(seq, kind, ea) else {
             return; // no free load register; retry next cycle
         };
@@ -578,12 +495,8 @@ impl<'a> Core<'a> {
                 self.forward_queue.push(seq);
                 self.stats.forwarded_loads += 1;
             }
-            LrOutcome::WaitOn { .. } => {
-                e.mem_phase = MemPhase::AwaitingData;
-            }
-            LrOutcome::StoreRecorded => {
-                e.mem_phase = MemPhase::StorePending;
-            }
+            LrOutcome::WaitOn { .. } => e.mem_phase = MemPhase::AwaitingData,
+            LrOutcome::StoreRecorded => e.mem_phase = MemPhase::StorePending,
         }
     }
 
@@ -592,10 +505,8 @@ impl<'a> Core<'a> {
     fn phase_forwards(&mut self) {
         let lat = self.cfg.forward_latency;
         let mut remaining = Vec::new();
-        let queue = std::mem::take(&mut self.forward_queue);
-        for seq in queue {
+        for seq in std::mem::take(&mut self.forward_queue) {
             if self.bus.try_reserve(self.cycle + lat) {
-                self.note(|r| r.dispatched.push(seq));
                 self.obs
                     .dispatch(self.cycle, seq, FuClass::Memory, self.cycle + lat);
                 self.schedule(self.cycle + lat, Event::Finish(seq));
@@ -614,16 +525,11 @@ impl<'a> Core<'a> {
             if e.dispatched || e.executed {
                 continue;
             }
+            let ready = e.ops[0].is_ready() && e.ops[1].is_ready();
             match e.mem_phase {
                 MemPhase::ToMemory => out.push((true, e.seq)),
-                MemPhase::StorePending if e.ops[0].is_ready() && e.ops[1].is_ready() => {
-                    out.push((true, e.seq));
-                }
-                MemPhase::NotMem
-                    if e.inst.fu_class().is_some()
-                        && e.ops[0].is_ready()
-                        && e.ops[1].is_ready() =>
-                {
+                MemPhase::StorePending if ready => out.push((true, e.seq)),
+                MemPhase::NotMem if e.inst.fu_class().is_some() && ready => {
                     out.push((false, e.seq));
                 }
                 _ => {}
@@ -659,7 +565,6 @@ impl<'a> Core<'a> {
                         let e = &mut self.window[i];
                         e.result = Some(v);
                         e.dispatched = true;
-                        self.note(|r| r.dispatched.push(seq));
                         self.obs
                             .dispatch(self.cycle, seq, FuClass::Memory, self.cycle + lat);
                         if self.dcache.is_finite() {
@@ -673,17 +578,9 @@ impl<'a> Core<'a> {
                 MemPhase::StorePending if self.fus.can_accept(FuClass::Memory, self.cycle) => {
                     self.fus.accept(FuClass::Memory, self.cycle);
                     self.window[i].dispatched = true;
-                    self.note(|r| r.dispatched.push(seq));
-                    self.obs.dispatch(
-                        self.cycle,
-                        seq,
-                        FuClass::Memory,
-                        self.cycle + self.cfg.store_exec_latency,
-                    );
-                    self.schedule(
-                        self.cycle + self.cfg.store_exec_latency,
-                        Event::StoreExec(seq),
-                    );
+                    let done = self.cycle + self.cfg.store_exec_latency;
+                    self.obs.dispatch(self.cycle, seq, FuClass::Memory, done);
+                    self.schedule(done, Event::StoreExec(seq));
                     paths -= 1;
                 }
                 MemPhase::NotMem => {
@@ -701,7 +598,6 @@ impl<'a> Core<'a> {
                         );
                         e.result = Some(v);
                         e.dispatched = true;
-                        self.note(|r| r.dispatched.push(seq));
                         self.obs.dispatch(self.cycle, seq, fu, self.cycle + lat);
                         self.schedule(self.cycle + lat, Event::Finish(seq));
                         paths -= 1;
@@ -714,15 +610,19 @@ impl<'a> Core<'a> {
 
     // ---- phase 5: in-order commit --------------------------------------
 
+    /// Commit stops at the oldest unresolved branch: a speculative
+    /// instruction may execute but never update architectural state. A
+    /// fault on the head instruction is taken here, so it is precise.
     fn phase_commit(&mut self) -> Option<InterruptFrame> {
+        let boundary = self.branches.front().map_or(u64::MAX, |b| b.seq);
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.window.front() else {
                 break;
             };
-            if !head.executed {
+            if !head.executed || head.seq > boundary {
                 break;
             }
-            if self.fault_seq == Some(head.seq) {
+            if self.fault_seq == Some(head.index) {
                 // Precise interrupt: the faulting instruction does not
                 // update any state; everything older already has.
                 let mut state = self.arch.clone();
@@ -731,12 +631,11 @@ impl<'a> Core<'a> {
                     state,
                     memory: self.mem.clone(),
                     resume_pc: head.pc,
-                    committed: self.committed,
+                    committed: self.completed,
                     cycle: self.cycle,
                 });
             }
             let e = self.window.pop_front().expect("head exists");
-            self.note(|r| r.committed.push(e.seq));
             self.obs.commit(self.cycle, e.seq);
             if e.inst.is_store() {
                 let ea = e.ea.expect("executed store has an address");
@@ -747,14 +646,115 @@ impl<'a> Core<'a> {
                 let v = e.result.expect("executed producer has a result");
                 self.arch.set_reg(tag.reg, v);
                 self.ni[tag.reg.index()] -= 1;
-                self.broadcast_commit(tag, v);
+                self.gate_all(tag, v);
             }
-            self.committed += 1;
+            self.completed += 1;
         }
         None
     }
 
-    // ---- phase 6: decode / issue ----------------------------------------
+    // ---- phase 6: branch resolution ------------------------------------
+
+    /// Resolves, oldest first, the branches whose condition is available.
+    /// Returns `true` if a parked branch resolved: that is the issue
+    /// stage's work for this cycle.
+    fn phase_resolve_branches(&mut self) -> bool {
+        while let Some(b) = self.branches.front() {
+            if !b.cond.is_ready() {
+                break;
+            }
+            let b = self.branches.pop_front().expect("front exists");
+            let taken = semantics::branch_taken(b.inst.opcode, b.cond.value());
+            if let Some(p) = self.predictor.as_mut() {
+                if b.inst.opcode.is_cond_branch() {
+                    p.update(b.pc, taken);
+                }
+            }
+            self.stats.branches += 1;
+            if taken {
+                self.stats.taken_branches += 1;
+            }
+            self.completed += 1;
+            let actual_pc = if taken {
+                b.inst.target.expect("branch has a target")
+            } else {
+                b.pc + 1
+            };
+            match b.assumed_taken {
+                None => {
+                    self.obs.issue(self.cycle, b.seq);
+                    self.stats.issue_cycles += 1;
+                    self.redirect(actual_pc, self.branch_penalty(taken));
+                    return true;
+                }
+                Some(assumed) if assumed != taken => {
+                    self.stats.mispredicted_branches += 1;
+                    self.squash(&b);
+                    // The current cycle and the `mispredict_penalty` cycles
+                    // after it are all misprediction repair:
+                    // `repair_stalls == flushes * (penalty + 1)` is the
+                    // invariant `FlushAccountant` checks.
+                    self.redirect(actual_pc, self.cfg.mispredict_penalty);
+                    self.repair_until = self.next_fetch_cycle;
+                    break; // younger branches were squashed with everything else
+                }
+                Some(_) => {}
+            }
+        }
+        false
+    }
+
+    /// Nullifies every instruction younger than the mispredicted branch
+    /// (paper §7: identify conditional instructions "and prevent them
+    /// from being committed until they are proven to be from a correct
+    /// path" — here they are removed outright).
+    fn squash(&mut self, b: &BranchRecord) {
+        // Window entries go youngest first, as the load registers require.
+        let mut nullified = 0;
+        while self.window.back().is_some_and(|e| e.seq > b.seq) {
+            let e = self.window.pop_back().expect("back exists");
+            self.lr.squash(e.seq);
+            // Undo the instance the squashed instruction acquired. Only
+            // issue advances LI, and every post-branch issue is squashed,
+            // so this restores LI exactly; NI must not be restored from a
+            // snapshot, since older instructions may have committed since.
+            if let Some(tag) = e.dst_tag {
+                self.ni[tag.reg.index()] -= 1;
+                self.li[tag.reg.index()] -= 1;
+            }
+            nullified += 1;
+        }
+        self.stats.nullified += nullified;
+        self.squashed += self.seq - b.seq - 1;
+        self.obs.flush(self.cycle, nullified);
+        self.mem_queue.retain(|&s| s <= b.seq);
+        self.forward_queue.retain(|&s| s <= b.seq);
+        for evs in self.events.values_mut() {
+            evs.retain(|ev| match ev {
+                Event::Finish(s) | Event::StoreExec(s) => *s <= b.seq,
+            });
+        }
+        self.events.retain(|_, evs| !evs.is_empty());
+        self.branches.clear(); // all younger than b
+        self.ff = b.ff;
+    }
+
+    fn branch_penalty(&self, taken: bool) -> u64 {
+        if taken {
+            self.cfg.branch_taken_penalty
+        } else {
+            self.cfg.branch_untaken_penalty
+        }
+    }
+
+    /// Fetch continues at `pc` after `delay` dead cycles.
+    fn redirect(&mut self, pc: u32, delay: u64) {
+        self.pc = pc;
+        self.halted = false;
+        self.next_fetch_cycle = self.cycle + 1 + delay;
+    }
+
+    // ---- phase 7: decode / issue ----------------------------------------
 
     fn read_operand(&self, r: Reg) -> Operand {
         if self.ni[r.index()] == 0 {
@@ -768,167 +768,177 @@ impl<'a> Core<'a> {
             return Operand::Ready(v);
         }
         match self.bypass {
-            Bypass::Full => {
-                match self
-                    .window
-                    .iter()
-                    .find(|e| e.dst_tag == Some(tag) && e.executed)
-                {
-                    Some(e) => Operand::Ready(e.result.expect("executed producer has a result")),
-                    None => Operand::Waiting(tag),
-                }
+            Bypass::Full => self
+                .window
+                .iter()
+                .find(|e| e.dst_tag == Some(tag) && e.executed)
+                .map_or(Operand::Waiting(tag), |e| {
+                    Operand::Ready(e.result.expect("executed producer has a result"))
+                }),
+            Bypass::LimitedA if r.is_a() && self.ff[r.num() as usize].valid => {
+                Operand::Ready(self.ff[r.num() as usize].value)
             }
-            Bypass::None => Operand::Waiting(tag),
-            Bypass::LimitedA => {
-                if r.is_a() {
-                    let ff = self.ff[r.num() as usize];
-                    if ff.valid {
-                        Operand::Ready(ff.value)
-                    } else {
-                        Operand::Waiting(tag)
-                    }
-                } else {
-                    Operand::Waiting(tag)
-                }
-            }
+            Bypass::None | Bypass::LimitedA => Operand::Waiting(tag),
         }
     }
 
     fn phase_issue(&mut self) -> Result<(), SimError> {
-        match self.frontend.peek(self.cycle, self.program) {
-            FetchSlot::Halted => {
-                self.frontend.set_halted();
-                self.stats.stall(StallReason::Drained);
-                self.obs.stall(self.cycle, StallReason::Drained);
+        let reason = if self.halted {
+            StallReason::Drained
+        } else if self
+            .branches
+            .back()
+            .is_some_and(|b| b.assumed_taken.is_none())
+        {
+            StallReason::BranchWait
+        } else if self.cycle < self.next_fetch_cycle {
+            if self.cycle < self.repair_until {
+                StallReason::MispredictRepair
+            } else {
+                StallReason::DeadCycle
             }
-            FetchSlot::Dead => {
-                self.stats.stall(StallReason::DeadCycle);
-                self.obs.stall(self.cycle, StallReason::DeadCycle);
-            }
-            FetchSlot::BranchParked => {
-                let pb = *self.frontend.pending_branch().expect("branch is parked");
-                if pb.cond.is_ready() {
-                    self.frontend.resolve_branch(
-                        self.cycle,
-                        &pb.inst,
-                        pb.cond.value(),
-                        self.cfg,
-                        &mut self.stats,
-                    );
-                    self.note(|r| r.issued_pc = Some(pb.pc));
-                    self.obs.issue(self.cycle, self.issued);
-                    self.issued += 1;
-                    self.stats.issue_cycles += 1;
-                } else {
-                    self.stats.stall(StallReason::BranchWait);
-                    self.obs.stall(self.cycle, StallReason::BranchWait);
+        } else {
+            match self.program.get(self.pc) {
+                Some(&inst) if !inst.is_halt() => return self.issue(inst),
+                // Decoding HALT (or running off the end) drains the machine.
+                _ => {
+                    self.halted = true;
+                    StallReason::Drained
                 }
             }
-            FetchSlot::Inst(pc, inst) => {
-                if self.issued >= self.limit {
-                    return Err(SimError::InstLimit { limit: self.limit });
-                }
-                self.obs.fetch(self.cycle, pc);
-                if inst.is_branch() {
-                    let cond = match inst.src1 {
-                        Some(r) => self.read_operand(r),
-                        None => Operand::Ready(0),
-                    };
-                    if cond.is_ready() {
-                        self.frontend.resolve_branch(
-                            self.cycle,
-                            &inst,
-                            cond.value(),
-                            self.cfg,
-                            &mut self.stats,
-                        );
-                        self.note(|r| r.issued_pc = Some(pc));
-                        self.obs.issue(self.cycle, self.issued);
-                        self.issued += 1;
-                        self.stats.issue_cycles += 1;
-                    } else {
-                        self.frontend.park_branch(pc, inst, cond);
-                        self.stats.stall(StallReason::BranchWait);
-                        self.obs.stall(self.cycle, StallReason::BranchWait);
-                    }
-                    return Ok(());
-                }
-
-                if self.window.len() >= self.capacity {
-                    self.stats.stall(StallReason::WindowFull);
-                    self.obs.stall(self.cycle, StallReason::WindowFull);
-                    return Ok(());
-                }
-                if let Some(d) = inst.dst {
-                    if self.ni[d.index()] >= self.cfg.max_instances() {
-                        self.stats.stall(StallReason::RegInstanceLimit);
-                        self.obs.stall(self.cycle, StallReason::RegInstanceLimit);
-                        return Ok(());
-                    }
-                }
-                if inst.is_mem() && self.lr.is_full() {
-                    self.stats.stall(StallReason::LoadRegFull);
-                    self.obs.stall(self.cycle, StallReason::LoadRegFull);
-                    return Ok(());
-                }
-
-                // Read source operands (value or tag).
-                let ops = [
-                    inst.src1
-                        .map_or(Operand::Ready(0), |r| self.read_operand(r)),
-                    inst.src2
-                        .map_or(Operand::Ready(0), |r| self.read_operand(r)),
-                ];
-
-                // Acquire the destination instance.
-                let dst_tag = inst.dst.map(|d| {
-                    self.ni[d.index()] += 1;
-                    self.li[d.index()] += 1;
-                    if d.is_a() {
-                        self.ff[d.num() as usize].valid = false;
-                    }
-                    Tag {
-                        reg: d,
-                        instance: self.li[d.index()] & self.tag_mask(),
-                    }
-                });
-
-                let seq = self.issued;
-                let is_mem = inst.is_mem();
-                let no_fu = inst.fu_class().is_none(); // Nop
-                self.window.push_back(Entry {
-                    seq,
-                    pc,
-                    inst,
-                    dst_tag,
-                    ops,
-                    dispatched: no_fu,
-                    executed: no_fu,
-                    result: None,
-                    ea: None,
-                    mem_phase: if is_mem {
-                        MemPhase::AwaitingLr
-                    } else {
-                        MemPhase::NotMem
-                    },
-                    lr_provider: false,
-                });
-                if is_mem {
-                    self.mem_queue.push_back(seq);
-                }
-                self.note(|r| r.issued_pc = Some(pc));
-                self.obs.issue(self.cycle, seq);
-                self.issued += 1;
-                self.stats.issue_cycles += 1;
-                self.frontend.advance();
-            }
-        }
+        };
+        self.stall(reason);
         Ok(())
     }
 
+    fn issue(&mut self, inst: Inst) -> Result<(), SimError> {
+        // Under prediction fetch runs ahead down predicted paths, so the
+        // budget counts architectural completions instead of issues.
+        let count = if self.predictor.is_some() {
+            self.completed
+        } else {
+            self.seq
+        };
+        if count >= self.limit {
+            return Err(SimError::InstLimit { limit: self.limit });
+        }
+        self.obs.fetch(self.cycle, self.pc);
+        if inst.is_branch() {
+            self.issue_branch(inst);
+            return Ok(());
+        }
+        if self.window.len() >= self.capacity {
+            self.stall(StallReason::WindowFull);
+            return Ok(());
+        }
+        if inst
+            .dst
+            .is_some_and(|d| self.ni[d.index()] >= self.cfg.max_instances())
+        {
+            self.stall(StallReason::RegInstanceLimit);
+            return Ok(());
+        }
+        if inst.is_mem() && self.lr.is_full() {
+            self.stall(StallReason::LoadRegFull);
+            return Ok(());
+        }
+
+        // Read source operands (value or tag).
+        let ops = [
+            inst.src1
+                .map_or(Operand::Ready(0), |r| self.read_operand(r)),
+            inst.src2
+                .map_or(Operand::Ready(0), |r| self.read_operand(r)),
+        ];
+        // Acquire the destination instance.
+        let dst_tag = inst.dst.map(|d| {
+            self.ni[d.index()] += 1;
+            self.li[d.index()] += 1;
+            if d.is_a() {
+                self.ff[d.num() as usize].valid = false;
+            }
+            Tag {
+                reg: d,
+                instance: self.li[d.index()] & self.tag_mask(),
+            }
+        });
+        let seq = self.seq;
+        let is_mem = inst.is_mem();
+        let no_fu = inst.fu_class().is_none(); // Nop
+        self.window.push_back(Entry {
+            seq,
+            index: seq - self.squashed,
+            pc: self.pc,
+            inst,
+            dst_tag,
+            ops,
+            dispatched: no_fu,
+            executed: no_fu,
+            result: None,
+            ea: None,
+            mem_phase: if is_mem {
+                MemPhase::AwaitingLr
+            } else {
+                MemPhase::NotMem
+            },
+            lr_provider: false,
+        });
+        if is_mem {
+            self.mem_queue.push_back(seq);
+        }
+        self.obs.issue(self.cycle, seq);
+        self.seq += 1;
+        self.stats.issue_cycles += 1;
+        self.pc += 1;
+        Ok(())
+    }
+
+    /// Decodes a branch. Fetch follows the actual direction if the
+    /// condition is already known, the predictor's guess otherwise; with
+    /// no predictor the branch parks in decode until its condition
+    /// arrives (§6.3).
+    fn issue_branch(&mut self, inst: Inst) {
+        let cond = inst
+            .src1
+            .map_or(Operand::Ready(0), |r| self.read_operand(r));
+        let target = inst.target.expect("branch has a target");
+        let (assumed_taken, bubble) = match (cond, self.predictor.as_mut()) {
+            (Operand::Ready(v), _) => {
+                let taken = semantics::branch_taken(inst.opcode, v);
+                (Some(taken), self.branch_penalty(taken))
+            }
+            (Operand::Waiting(_), Some(p)) => {
+                self.stats.predicted_branches += 1;
+                let taken = p.predict(self.pc, target);
+                let bubble = if taken { self.cfg.spec_taken_bubble } else { 0 };
+                (Some(taken), bubble)
+            }
+            (Operand::Waiting(_), None) => (None, 0),
+        };
+        self.branches.push_back(BranchRecord {
+            seq: self.seq,
+            pc: self.pc,
+            inst,
+            assumed_taken,
+            cond,
+            ff: self.ff,
+        });
+        match assumed_taken {
+            Some(taken) => {
+                self.obs.issue(self.cycle, self.seq);
+                self.stats.issue_cycles += 1;
+                let next = if taken { target } else { self.pc + 1 };
+                self.redirect(next, bubble);
+            }
+            None => self.stall(StallReason::BranchWait),
+        }
+        self.seq += 1;
+    }
+
     fn drained(&self) -> bool {
-        self.frontend.halted()
+        self.halted
             && self.window.is_empty()
+            && self.branches.is_empty()
             && self.mem_queue.is_empty()
             && self.forward_queue.is_empty()
             && self.events.is_empty()
@@ -939,9 +949,6 @@ impl<'a> Core<'a> {
             self.broadcasts.clear();
             let occ = self.window.len() as u32;
             self.stats.observe_occupancy(occ);
-            if let Some(t) = self.trace.as_mut() {
-                t.start_cycle(self.cycle, occ);
-            }
 
             self.phase_completions();
             self.phase_addr_gen();
@@ -950,9 +957,11 @@ impl<'a> Core<'a> {
             if let Some(frame) = self.phase_commit() {
                 return Ok(RunOutcome::Interrupted(frame));
             }
-            self.phase_issue()?;
+            if !self.phase_resolve_branches() {
+                self.phase_issue()?;
+            }
 
-            let progress = (self.issued, self.committed, self.events_scheduled);
+            let progress = (self.completed + self.seq, self.events_scheduled);
             if progress != self.last_progress {
                 self.last_progress = progress;
                 self.last_progress_cycle = self.cycle;
@@ -963,11 +972,10 @@ impl<'a> Core<'a> {
             }
 
             self.obs.cycle_end(self.cycle, occ);
+            self.cycle += 1;
             if self.drained() {
-                self.cycle += 1;
                 break;
             }
-            self.cycle += 1;
             // Keep the reservation table small on long runs.
             if self.cycle.is_multiple_of(4096) {
                 self.bus.release_before(self.cycle);
@@ -975,14 +983,14 @@ impl<'a> Core<'a> {
         }
 
         let mut state = self.arch.clone();
-        state.pc = self.frontend.pc();
+        state.pc = self.pc;
         let cs = self.dcache.stats();
         self.stats.dcache_accesses = cs.accesses;
         self.stats.dcache_hits = cs.hits;
         self.stats.dcache_misses = cs.misses;
         Ok(RunOutcome::Completed(RunResult {
             cycles: self.cycle,
-            instructions: self.issued,
+            instructions: self.completed,
             state,
             memory: self.mem.clone(),
             stats: std::mem::take(&mut self.stats),
@@ -995,6 +1003,8 @@ mod tests {
     use super::*;
     use ruu_exec::Trace;
     use ruu_isa::Asm;
+
+    use crate::InOrder;
 
     fn cfg() -> MachineConfig {
         MachineConfig::paper()
@@ -1058,7 +1068,7 @@ mod tests {
             a
         };
         let p = prog().assemble().unwrap();
-        let simple = crate::SimpleIssue::new(cfg())
+        let simple = InOrder::new(cfg())
             .run(&p, Memory::new(1 << 12), 1_000_000)
             .unwrap();
         let ruu = run_bp(&prog, 16, Bypass::Full);
@@ -1309,7 +1319,7 @@ mod tests {
         };
         // "Handle" the fault (nothing to do for this test) and resume.
         let resumed = sim
-            .run_from(frame.state, frame.memory, &p, 1_000_000)
+            .run_observed(frame.state, frame.memory, &p, 1_000_000, &mut NullObserver)
             .unwrap();
         assert_eq!(&resumed.state, g.final_state());
         assert_eq!(&resumed.memory, g.final_memory());
@@ -1339,63 +1349,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cycle_trace_records_the_pipeline() {
-        let prog = || {
-            let mut a = Asm::new("t");
-            a.a_imm(Reg::a(1), 5);
-            a.a_add(Reg::a(2), Reg::a(1), Reg::a(1));
-            a.a_add(Reg::a(3), Reg::a(2), Reg::a(1));
-            a.halt();
-            a
-        };
-        let p = prog().assemble().unwrap();
-        let (r, t) = Ruu::new(cfg(), 8, Bypass::Full)
-            .run_traced(&p, Memory::new(1 << 8), 1000, 64)
-            .unwrap();
-        assert_eq!(t.cycles.len() as u64, r.cycles.min(64));
-        // Every dynamic instruction shows up once in issue, dispatch and
-        // commit across the trace.
-        let issued: Vec<u32> = t.cycles.iter().filter_map(|c| c.issued_pc).collect();
-        assert_eq!(issued, vec![0, 1, 2]);
-        let committed: Vec<u64> = t.cycles.iter().flat_map(|c| c.committed.clone()).collect();
-        assert_eq!(committed, vec![0, 1, 2]);
-        let dispatched: Vec<u64> = t.cycles.iter().flat_map(|c| c.dispatched.clone()).collect();
-        assert_eq!(dispatched.len(), 3);
-        // Commit order is program order and each commit follows its finish.
-        for seq in 0..3u64 {
-            let fin = t
-                .cycles
-                .iter()
-                .position(|c| c.finished.contains(&seq))
-                .unwrap();
-            let com = t
-                .cycles
-                .iter()
-                .position(|c| c.committed.contains(&seq))
-                .unwrap();
-            assert!(com >= fin, "seq {seq}");
+    /// Records every pipeline event per dynamic instruction.
+    #[derive(Default)]
+    struct Lifetimes {
+        issued: Vec<u64>,
+        dispatched: Vec<u64>,
+        completed: Vec<(u64, u64)>,
+        committed: Vec<(u64, u64)>,
+    }
+
+    impl PipelineObserver for Lifetimes {
+        fn issue(&mut self, _cycle: u64, seq: u64) {
+            self.issued.push(seq);
+        }
+        fn dispatch(&mut self, _cycle: u64, seq: u64, _fu: FuClass, _complete_at: u64) {
+            self.dispatched.push(seq);
+        }
+        fn complete(&mut self, cycle: u64, seq: u64) {
+            self.completed.push((seq, cycle));
+        }
+        fn commit(&mut self, cycle: u64, seq: u64) {
+            self.committed.push((seq, cycle));
         }
     }
 
+    fn count(v: &[u64], seq: u64) -> usize {
+        v.iter().filter(|&&s| s == seq).count()
+    }
+
     #[test]
-    fn cycle_trace_is_bounded() {
-        let prog = || {
-            let mut a = Asm::new("t");
-            let top = a.new_label();
-            a.a_imm(Reg::a(0), 50);
-            a.bind(top);
-            a.a_sub_imm(Reg::a(0), Reg::a(0), 1);
-            a.br_an(top);
-            a.halt();
-            a
-        };
-        let p = prog().assemble().unwrap();
-        let (r, t) = Ruu::new(cfg(), 8, Bypass::Full)
-            .run_traced(&p, Memory::new(1 << 8), 10_000, 10)
-            .unwrap();
-        assert!(r.cycles > 10);
-        assert_eq!(t.cycles.len(), 10);
+    fn observer_sees_every_instruction_through_the_pipeline() {
+        let p = mispredicting_program();
+        let mem = mispredicting_memory();
+        for sim in [
+            Ruu::new(cfg(), 8, Bypass::Full),
+            Ruu::new(cfg(), 8, Bypass::Full).with_predictor(PredictorConfig::default()),
+        ] {
+            let mut obs = Lifetimes::default();
+            let r = sim
+                .run_observed(ArchState::new(), mem.clone(), &p, 10_000, &mut obs)
+                .unwrap();
+            let speculating = sim.predictor.is_some();
+            assert_eq!(speculating, r.stats.nullified > 0);
+            // Every instruction issues once; window entries that commit
+            // were dispatched and completed exactly once, in program
+            // order, and never commit before they complete.
+            let mut issued = obs.issued.clone();
+            issued.sort_unstable();
+            issued.dedup();
+            assert_eq!(issued.len(), obs.issued.len());
+            assert_eq!(
+                obs.committed.len() as u64 + r.stats.branches,
+                r.instructions
+            );
+            let commits: Vec<u64> = obs.committed.iter().map(|&(s, _)| s).collect();
+            assert!(commits.windows(2).all(|w| w[0] < w[1]));
+            let completes: Vec<u64> = obs.completed.iter().map(|&(s, _)| s).collect();
+            for &(seq, at) in &obs.committed {
+                assert_eq!(count(&obs.issued, seq), 1);
+                assert_eq!(count(&obs.dispatched, seq), 1, "seq {seq}");
+                assert_eq!(count(&completes, seq), 1, "seq {seq}");
+                let done = obs.completed.iter().find(|&&(s, _)| s == seq).unwrap().1;
+                assert!(
+                    at >= done,
+                    "seq {seq} commits at {at} before completing at {done}"
+                );
+            }
+            // Without speculation nothing is issued that does not count.
+            if !speculating {
+                assert_eq!(obs.issued.len() as u64, r.instructions);
+            }
+        }
     }
 
     #[test]
@@ -1411,5 +1435,147 @@ mod tests {
             .run_with_exception(&p, Memory::new(1 << 12), 1_000_000, 999)
             .unwrap();
         assert!(matches!(outcome, RunOutcome::Completed(_)));
+    }
+
+    fn mispredicting_program() -> Program {
+        // An alternating, slowly-resolving branch direction defeats the
+        // predictor regularly.
+        let mut a = Asm::new("t2");
+        let top = a.new_label();
+        let skip = a.new_label();
+        a.a_imm(Reg::a(7), 20); // loop count in A7
+        a.a_imm(Reg::a(1), 0);
+        a.bind(top);
+        a.ld_a(Reg::a(0), Reg::a(1), 500); // alternating 0/1, slow
+        a.br_az(skip);
+        a.s_imm(Reg::s(1), 7);
+        a.st_s(Reg::s(1), Reg::a(1), 300);
+        a.bind(skip);
+        a.a_add_imm(Reg::a(1), Reg::a(1), 1);
+        a.a_sub_imm(Reg::a(7), Reg::a(7), 1);
+        a.a_add_imm(Reg::a(0), Reg::a(7), 0);
+        a.br_an(top);
+        a.halt();
+        a.assemble().unwrap()
+    }
+
+    fn mispredicting_memory() -> Memory {
+        let mut mem = Memory::new(1 << 12);
+        for i in 0..20 {
+            mem.write(500 + i, i % 2);
+        }
+        mem
+    }
+
+    fn spec(entries: usize, bypass: Bypass, predictor: PredictorConfig) -> Ruu {
+        Ruu::new(cfg(), entries, bypass).with_predictor(predictor)
+    }
+
+    #[test]
+    fn speculation_matches_golden_with_every_predictor() {
+        let prog = || {
+            let mut a = Asm::new("t");
+            let top = a.new_label();
+            a.a_imm(Reg::a(0), 25);
+            a.a_imm(Reg::a(1), 100);
+            a.bind(top);
+            a.ld_s(Reg::s(1), Reg::a(1), 0);
+            a.f_add(Reg::s(2), Reg::s(1), Reg::s(2));
+            a.st_s(Reg::s(2), Reg::a(1), 64);
+            a.a_add_imm(Reg::a(1), Reg::a(1), 1);
+            a.a_sub_imm(Reg::a(0), Reg::a(0), 1);
+            a.br_an(top);
+            a.halt();
+            a
+        };
+        let p = prog().assemble().unwrap();
+        let g = golden(&prog);
+        for pred in [
+            PredictorConfig::AlwaysTaken,
+            PredictorConfig::Btfn,
+            PredictorConfig::default(),
+        ] {
+            let r = spec(16, Bypass::Full, pred)
+                .run(&p, Memory::new(1 << 12), 1_000_000)
+                .unwrap();
+            assert_eq!(&r.state, g.final_state(), "{pred}");
+            assert_eq!(&r.memory, g.final_memory(), "{pred}");
+            assert_eq!(r.instructions, g.len() as u64, "{pred}");
+        }
+    }
+
+    #[test]
+    fn speculation_beats_the_blocking_ruu_when_conditions_are_slow() {
+        // The branch condition comes from a load, so the non-speculative
+        // machine parks in decode every iteration while the predictor
+        // sails through.
+        let mut a = Asm::new("t");
+        let top = a.new_label();
+        let done = a.new_label();
+        a.a_imm(Reg::a(1), 0); // index
+        a.bind(top);
+        a.ld_a(Reg::a(0), Reg::a(1), 600); // condition from memory (slow)
+        a.ld_s(Reg::s(2), Reg::a(1), 200);
+        a.f_mul(Reg::s(2), Reg::s(2), Reg::s(2));
+        a.st_s(Reg::s(2), Reg::a(1), 400);
+        a.a_add_imm(Reg::a(1), Reg::a(1), 1);
+        a.br_az(done); // waits on the load in the blocking machine
+        a.jump(top);
+        a.bind(done);
+        a.halt();
+        let p = a.assemble().unwrap();
+        let mut mem = Memory::new(1 << 12);
+        for i in 0..40 {
+            mem.write(600 + i, 1); // loop continues while nonzero
+        }
+        mem.write(640, 0);
+
+        let base = Ruu::new(cfg(), 16, Bypass::Full)
+            .run(&p, mem.clone(), 1_000_000)
+            .unwrap();
+        let spec = spec(16, Bypass::Full, PredictorConfig::default())
+            .run(&p, mem.clone(), 1_000_000)
+            .unwrap();
+        assert_eq!(spec.state.regs, base.state.regs);
+        assert_eq!(spec.memory, base.memory);
+        assert!(
+            spec.cycles < base.cycles,
+            "spec {} vs blocking {}",
+            spec.cycles,
+            base.cycles
+        );
+        assert!(spec.stats.predicted_branches > 0);
+        // The exit iteration (br_az finally taken) is the misprediction.
+        assert!(spec.stats.mispredicted_branches >= 1);
+        assert!(spec.stats.nullified > 0);
+        assert_eq!(base.stats.predicted_branches, 0);
+        assert_eq!(base.stats.nullified, 0);
+    }
+
+    #[test]
+    fn mispredictions_are_architecturally_invisible() {
+        let p = mispredicting_program();
+        let mem = mispredicting_memory();
+        let g = Trace::capture(&p, mem.clone(), 1_000_000).unwrap();
+        for bypass in [Bypass::Full, Bypass::None, Bypass::LimitedA] {
+            let r = spec(12, bypass, PredictorConfig::default())
+                .run(&p, mem.clone(), 1_000_000)
+                .unwrap();
+            assert_eq!(&r.state, g.final_state(), "{bypass:?}");
+            assert_eq!(&r.memory, g.final_memory(), "{bypass:?}");
+            assert!(
+                r.stats.mispredicted_branches > 0,
+                "{bypass:?} must mispredict"
+            );
+        }
+    }
+
+    #[test]
+    fn livermore_kernel_runs_speculatively_and_verifies() {
+        let w = ruu_workloads::livermore::lll5();
+        let r = spec(16, Bypass::Full, PredictorConfig::default())
+            .run(&w.program, w.memory.clone(), w.inst_limit)
+            .unwrap();
+        w.verify(&r.memory).unwrap();
     }
 }

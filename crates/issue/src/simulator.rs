@@ -1,13 +1,11 @@
 //! The [`IssueSimulator`] trait: one object-safe, `Send` interface over
 //! every cycle-level issue-mechanism simulator.
 //!
-//! Before this trait existed, each mechanism exposed its own inherent
-//! `run`/`run_from` methods and [`crate::Mechanism::run`] dispatched
-//! through a giant `match`. The trait turns "a configured simulator" into
-//! a first-class value: [`crate::Mechanism::build`] returns a
-//! `Box<dyn IssueSimulator>` that batch engines (`ruu-engine`) can hand
-//! to worker threads, hold in job tables, and drive uniformly — without
-//! caring which mechanism is behind it.
+//! The trait turns "a configured simulator" into a first-class value:
+//! [`crate::Mechanism::build`] returns a `Box<dyn IssueSimulator>` that
+//! batch engines (`ruu-engine`) can hand to worker threads, hold in job
+//! tables, and drive uniformly — without caring which mechanism is behind
+//! it.
 //!
 //! Object safety is deliberate: the parallel sweep engine stores
 //! heterogeneous simulators in one grid. `Send` is part of the contract
@@ -15,218 +13,49 @@
 
 use ruu_exec::{ArchState, Memory};
 use ruu_isa::Program;
-use ruu_sim_core::{MachineConfig, PipelineObserver, RunResult};
+use ruu_sim_core::{NullObserver, PipelineObserver, RunResult};
 
-use crate::reorder::InOrderPrecise;
-use crate::ruu::Ruu;
-use crate::simple::SimpleIssue;
-use crate::spec_ruu::SpecRuu;
-use crate::tagged::TaggedSim;
 use crate::SimError;
 
 /// A configured, runnable issue-mechanism simulator.
 ///
 /// Implementations are cheap to construct (configuration only — no
 /// per-run state), so a fresh one can be built per job. All per-run
-/// state lives inside `run_from`, which is why one simulator value can
+/// state lives inside `run_observed`, which is why one simulator value can
 /// serve many sequential runs and why `&self` suffices.
 pub trait IssueSimulator: Send {
-    /// The machine configuration this simulator was built with.
-    fn config(&self) -> &MachineConfig;
-
-    /// Runs `program` from an explicit architectural state (e.g. a
-    /// restart after a precise interrupt).
+    /// Runs `program` from an explicit architectural state (fetch starts
+    /// at `state.pc`, e.g. a restart after a precise interrupt),
+    /// reporting every pipeline event to `obs`.
     ///
     /// # Errors
     /// [`SimError::InstLimit`] if more than `limit` dynamic instructions
     /// issue; [`SimError::Deadlock`] on internal lack of progress.
-    fn run_from(
+    fn run_observed(
         &self,
         state: ArchState,
         mem: Memory,
         program: &Program,
         limit: u64,
+        obs: &mut dyn PipelineObserver,
     ) -> Result<RunResult, SimError>;
 
-    /// Runs `program` to completion from zeroed registers.
+    /// Runs `program` to completion from zeroed registers, unobserved.
     ///
     /// # Errors
-    /// As for [`IssueSimulator::run_from`].
+    /// As for [`IssueSimulator::run_observed`].
     fn run(&self, program: &Program, mem: Memory, limit: u64) -> Result<RunResult, SimError> {
-        self.run_from(ArchState::new(), mem, program, limit)
-    }
-
-    /// As [`IssueSimulator::run_from`], reporting every pipeline event to
-    /// `obs`. The default ignores the observer so that implementations
-    /// without instrumentation remain valid; every in-tree simulator
-    /// overrides it.
-    ///
-    /// # Errors
-    /// As for [`IssueSimulator::run_from`].
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        let _ = obs;
-        self.run_from(state, mem, program, limit)
-    }
-}
-
-impl IssueSimulator for SimpleIssue {
-    fn config(&self) -> &MachineConfig {
-        SimpleIssue::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        SimpleIssue::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        SimpleIssue::run_observed(self, state, mem, program, limit, obs)
-    }
-}
-
-impl IssueSimulator for TaggedSim {
-    fn config(&self) -> &MachineConfig {
-        TaggedSim::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        TaggedSim::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        TaggedSim::run_observed(self, state, mem, program, limit, obs)
-    }
-}
-
-impl IssueSimulator for Ruu {
-    fn config(&self) -> &MachineConfig {
-        Ruu::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        Ruu::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        Ruu::run_observed(self, state, mem, program, limit, obs)
-    }
-}
-
-impl IssueSimulator for InOrderPrecise {
-    fn config(&self) -> &MachineConfig {
-        InOrderPrecise::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        InOrderPrecise::run_from(self, state, mem, program, limit)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        InOrderPrecise::run_observed(self, state, mem, program, limit, obs)
-    }
-}
-
-/// The speculative RUU behind the uniform interface: each run builds a
-/// fresh predictor from the simulator's [`SpecRuu::predictor`]
-/// configuration, so `&self` runs stay independent and repeatable. The
-/// architectural [`RunResult`] is returned; the speculation counters are
-/// available via [`SpecRuu::run`] directly.
-impl IssueSimulator for SpecRuu {
-    fn config(&self) -> &MachineConfig {
-        SpecRuu::config(self)
-    }
-
-    fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        let mut pred = self.predictor().build();
-        let mut nobs = ruu_sim_core::NullObserver;
-        SpecRuu::run_from_observed(self, state, mem, program, limit, pred.as_mut(), &mut nobs)
-            .map(|r| r.run)
-    }
-
-    fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        let mut pred = self.predictor().build();
-        SpecRuu::run_from_observed(self, state, mem, program, limit, pred.as_mut(), obs)
-            .map(|r| r.run)
+        self.run_observed(ArchState::new(), mem, program, limit, &mut NullObserver)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predict::TwoBit;
-    use crate::{Bypass, Mechanism, PreciseScheme, WindowKind};
+    use crate::{Bypass, InOrder, Mechanism, PreciseScheme, Ruu, TaggedSim, WindowKind};
     use ruu_isa::{Asm, Reg};
+    use ruu_predict::PredictorConfig;
+    use ruu_sim_core::MachineConfig;
 
     fn tiny_program() -> Program {
         let mut a = Asm::new("t");
@@ -234,6 +63,21 @@ mod tests {
         a.a_add(Reg::a(2), Reg::a(1), Reg::a(1));
         a.halt();
         a.assemble().unwrap()
+    }
+
+    fn one_of_each(cfg: &MachineConfig) -> Vec<Box<dyn IssueSimulator>> {
+        vec![
+            Box::new(InOrder::new(cfg.clone())),
+            Box::new(TaggedSim::new(
+                cfg.clone(),
+                WindowKind::Merged { entries: 8 },
+            )),
+            Box::new(Ruu::new(cfg.clone(), 8, Bypass::Full)),
+            Box::new(InOrder::new(cfg.clone()).with_scheme(PreciseScheme::FutureFile, 8)),
+            Box::new(
+                Ruu::new(cfg.clone(), 8, Bypass::Full).with_predictor(PredictorConfig::default()),
+            ),
+        ]
     }
 
     #[test]
@@ -245,23 +89,8 @@ mod tests {
 
     #[test]
     fn boxed_simulators_run_uniformly() {
-        let cfg = MachineConfig::paper();
         let p = tiny_program();
-        let sims: Vec<Box<dyn IssueSimulator>> = vec![
-            Box::new(SimpleIssue::new(cfg.clone())),
-            Box::new(TaggedSim::new(
-                cfg.clone(),
-                WindowKind::Merged { entries: 8 },
-            )),
-            Box::new(Ruu::new(cfg.clone(), 8, Bypass::Full)),
-            Box::new(InOrderPrecise::new(
-                cfg.clone(),
-                PreciseScheme::FutureFile,
-                8,
-            )),
-        ];
-        for sim in &sims {
-            assert_eq!(sim.config(), &cfg);
+        for sim in one_of_each(&MachineConfig::paper()) {
             let r = sim.run(&p, Memory::new(1 << 10), 1_000).unwrap();
             assert_eq!(r.state.reg(Reg::a(2)), 14);
         }
@@ -270,23 +99,8 @@ mod tests {
     #[test]
     fn run_observed_satisfies_cycle_accounting() {
         use ruu_sim_core::CycleAccountant;
-        let cfg = MachineConfig::paper();
         let p = tiny_program();
-        let sims: Vec<Box<dyn IssueSimulator>> = vec![
-            Box::new(SimpleIssue::new(cfg.clone())),
-            Box::new(TaggedSim::new(
-                cfg.clone(),
-                WindowKind::Merged { entries: 8 },
-            )),
-            Box::new(Ruu::new(cfg.clone(), 8, Bypass::Full)),
-            Box::new(InOrderPrecise::new(
-                cfg.clone(),
-                PreciseScheme::FutureFile,
-                8,
-            )),
-            Box::new(SpecRuu::new(cfg.clone(), 8, Bypass::Full)),
-        ];
-        for sim in &sims {
+        for sim in one_of_each(&MachineConfig::paper()) {
             let mut acct = CycleAccountant::default();
             let r = sim
                 .run_observed(ArchState::new(), Memory::new(1 << 10), &p, 1_000, &mut acct)
@@ -296,20 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_ruu_trait_run_matches_inherent_run() {
-        let cfg = MachineConfig::paper();
-        let p = tiny_program();
-        let sim = SpecRuu::new(cfg, 8, Bypass::Full);
-        let mut pred = TwoBit::default();
-        let inherent = sim.run(&p, Memory::new(1 << 10), 1_000, &mut pred).unwrap();
-        let boxed: Box<dyn IssueSimulator> = Box::new(sim);
-        let via_trait = IssueSimulator::run(&*boxed, &p, Memory::new(1 << 10), 1_000).unwrap();
-        assert_eq!(inherent.run.cycles, via_trait.cycles);
-        assert_eq!(inherent.run.state, via_trait.state);
-    }
-
-    #[test]
-    fn default_run_matches_explicit_run_from() {
+    fn default_run_matches_explicit_run_observed() {
         let cfg = MachineConfig::paper();
         let p = tiny_program();
         for m in [
@@ -327,7 +128,13 @@ mod tests {
             let sim = m.build(&cfg);
             let a = sim.run(&p, Memory::new(1 << 10), 1_000).unwrap();
             let b = sim
-                .run_from(ArchState::new(), Memory::new(1 << 10), &p, 1_000)
+                .run_observed(
+                    ArchState::new(),
+                    Memory::new(1 << 10),
+                    &p,
+                    1_000,
+                    &mut NullObserver,
+                )
                 .unwrap();
             assert_eq!(a.cycles, b.cycles, "{m}");
             assert_eq!(a.state, b.state, "{m}");

@@ -36,6 +36,7 @@ use ruu_sim_core::{
 };
 
 use crate::common::{Broadcasts, FetchSlot, Frontend, Operand, Tag};
+use crate::simulator::IssueSimulator;
 use crate::SimError;
 
 /// Window organisation of a tagged mechanism (see module docs).
@@ -98,58 +99,6 @@ impl TaggedSim {
         TaggedSim { config, kind }
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    /// The window organisation.
-    #[must_use]
-    pub fn kind(&self) -> WindowKind {
-        self.kind
-    }
-
-    /// Runs `program` to completion from zeroed registers.
-    ///
-    /// # Errors
-    /// [`SimError::InstLimit`] if more than `limit` instructions issue.
-    pub fn run(&self, program: &Program, mem: Memory, limit: u64) -> Result<RunResult, SimError> {
-        self.run_from(ArchState::new(), mem, program, limit)
-    }
-
-    /// Runs `program` from an explicit architectural state (fetch starts
-    /// at `state.pc`).
-    ///
-    /// # Errors
-    /// As for [`TaggedSim::run`].
-    pub fn run_from(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-    ) -> Result<RunResult, SimError> {
-        let mut nobs = NullObserver;
-        self.run_observed(state, mem, program, limit, &mut nobs)
-    }
-
-    /// As [`TaggedSim::run_from`], reporting every pipeline event to `obs`.
-    ///
-    /// # Errors
-    /// As for [`TaggedSim::run`].
-    pub fn run_observed(
-        &self,
-        state: ArchState,
-        mem: Memory,
-        program: &Program,
-        limit: u64,
-        obs: &mut dyn PipelineObserver,
-    ) -> Result<RunResult, SimError> {
-        let mut core = TCore::new(self, state, mem, program, limit, obs);
-        core.run(None).map(|o| o.expect("no probe: run completes"))
-    }
-
     /// Runs until the dynamic instruction `probe_seq` has *executed*
     /// (updated machine state), then returns a snapshot of the
     /// architectural registers and memory at that moment — used to
@@ -158,7 +107,7 @@ impl TaggedSim {
     /// Returns `None` if the probe instruction never executed.
     ///
     /// # Errors
-    /// As for [`TaggedSim::run`].
+    /// As for [`IssueSimulator::run`].
     pub fn snapshot_at_execute(
         &self,
         program: &Program,
@@ -168,13 +117,22 @@ impl TaggedSim {
     ) -> Result<Option<(ArchState, Memory)>, SimError> {
         let mut nobs = NullObserver;
         let mut core = TCore::new(self, ArchState::new(), mem, program, limit, &mut nobs);
-        let mut probe = Some(probe_seq);
-        match core.run(probe.take().map(Probe::new).inspect(|_p| {
-            probe = None;
-        })) {
-            Ok(_) => Ok(core.probe_result.take()),
-            Err(e) => Err(e),
-        }
+        core.run(Some(Probe::new(probe_seq)))?;
+        Ok(core.probe_result.take())
+    }
+}
+
+impl IssueSimulator for TaggedSim {
+    fn run_observed(
+        &self,
+        state: ArchState,
+        mem: Memory,
+        program: &Program,
+        limit: u64,
+        obs: &mut dyn PipelineObserver,
+    ) -> Result<RunResult, SimError> {
+        let mut core = TCore::new(self, state, mem, program, limit, obs);
+        core.run(None).map(|o| o.expect("no probe: run completes"))
     }
 }
 
@@ -855,7 +813,7 @@ mod tests {
     #[test]
     fn rstu_beats_simple_issue_on_ilp() {
         let p = loop_prog().assemble().unwrap();
-        let simple = crate::SimpleIssue::new(cfg())
+        let simple = crate::InOrder::new(cfg())
             .run(&p, Memory::new(1 << 12), 1_000_000)
             .unwrap();
         let rstu = TaggedSim::new(cfg(), WindowKind::Merged { entries: 20 })

@@ -2,8 +2,8 @@
 
 use ruu_exec::{golden_state_at, Memory, Trace};
 use ruu_isa::Program;
-use ruu_issue::{Bypass, RunOutcome, Ruu, SimError};
-use ruu_sim_core::MachineConfig;
+use ruu_issue::{Bypass, IssueSimulator, RunOutcome, Ruu, SimError};
+use ruu_sim_core::{MachineConfig, NullObserver};
 
 /// Outcome of one injected-exception experiment.
 #[derive(Debug, Clone)]
@@ -118,7 +118,13 @@ impl PrecisionCheck {
         // "Handle" the fault (the model fault needs no state change — a
         // page fault would map the page) and restart from the frame.
         let resumed = sim
-            .run_from(frame.state, frame.memory, program, self.inst_limit)
+            .run_observed(
+                frame.state,
+                frame.memory,
+                program,
+                self.inst_limit,
+                &mut NullObserver,
+            )
             .map_err(CheckError::Sim)?;
         let golden_final =
             Trace::capture(program, mem.clone(), self.inst_limit).map_err(CheckError::Golden)?;

@@ -119,6 +119,9 @@ pub struct RunStats {
     /// Predicted branches that resolved against the prediction and forced
     /// a squash (speculative machines only; zero elsewhere).
     pub mispredicted_branches: u64,
+    /// Wrong-path instructions nullified by misprediction squashes
+    /// (speculative machines only; zero elsewhere).
+    pub nullified: u64,
     /// Data-cache accesses (loads that consulted a finite `DCache`; zero
     /// under `DCacheConfig::Perfect`).
     pub dcache_accesses: u64,
@@ -181,8 +184,8 @@ impl fmt::Display for RunStats {
         if self.predicted_branches > 0 {
             writeln!(
                 f,
-                "predicted        {:>10} ({} mispredicted)",
-                self.predicted_branches, self.mispredicted_branches
+                "predicted        {:>10} ({} mispredicted, {} nullified)",
+                self.predicted_branches, self.mispredicted_branches, self.nullified
             )?;
         }
         writeln!(f, "forwarded loads  {:>10}", self.forwarded_loads)?;

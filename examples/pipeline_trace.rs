@@ -6,10 +6,54 @@
 //! cargo run --release --example pipeline_trace
 //! ```
 
-use ruu::exec::Memory;
-use ruu::isa::{Asm, Reg};
-use ruu::issue::{Bypass, Ruu};
-use ruu::sim::MachineConfig;
+use ruu::exec::{ArchState, Memory};
+use ruu::isa::{Asm, FuClass, Reg};
+use ruu::issue::{Bypass, IssueSimulator, Ruu};
+use ruu::sim::{MachineConfig, PipelineObserver};
+
+/// One cycle of activity on the RUU's ports (dynamic sequence numbers).
+#[derive(Debug, Default)]
+struct Row {
+    occupancy: u32,
+    issued: Vec<u64>,
+    dispatched: Vec<u64>,
+    finished: Vec<u64>,
+    committed: Vec<u64>,
+}
+
+/// A pipeline observer that logs every cycle of a run.
+#[derive(Debug, Default)]
+struct PortLog {
+    rows: Vec<Row>,
+}
+
+impl PortLog {
+    fn row(&mut self, cycle: u64) -> &mut Row {
+        let i = usize::try_from(cycle).expect("cycle fits in usize");
+        if self.rows.len() <= i {
+            self.rows.resize_with(i + 1, Row::default);
+        }
+        &mut self.rows[i]
+    }
+}
+
+impl PipelineObserver for PortLog {
+    fn issue(&mut self, cycle: u64, seq: u64) {
+        self.row(cycle).issued.push(seq);
+    }
+    fn dispatch(&mut self, cycle: u64, seq: u64, _fu: FuClass, _complete_at: u64) {
+        self.row(cycle).dispatched.push(seq);
+    }
+    fn complete(&mut self, cycle: u64, seq: u64) {
+        self.row(cycle).finished.push(seq);
+    }
+    fn commit(&mut self, cycle: u64, seq: u64) {
+        self.row(cycle).committed.push(seq);
+    }
+    fn cycle_end(&mut self, cycle: u64, occupancy: u32) {
+        self.row(cycle).occupancy = occupancy;
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A short block with a long-latency reciprocal, dependent work, and
@@ -30,7 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     mem.write_f64(64, 4.0);
 
     let ruu = Ruu::new(MachineConfig::paper(), 8, Bypass::Full);
-    let (result, trace) = ruu.run_traced(&program, mem, 10_000, 64)?;
+    let mut log = PortLog::default();
+    let result = ruu.run_observed(ArchState::new(), mem, &program, 10_000, &mut log)?;
 
     println!(
         "{} instructions in {} cycles (IPC {:.3})\n",
@@ -40,22 +85,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("cycle | occ | issue | dispatch   | result bus | commit");
     println!("------+-----+-------+------------+------------+-----------");
-    for c in &trace.cycles {
-        let fmt = |v: &Vec<u64>| {
-            if v.is_empty() {
-                String::new()
-            } else {
-                v.iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            }
-        };
+    let fmt = |v: &[u64]| {
+        v.iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    for (cycle, c) in log.rows.iter().enumerate() {
         println!(
-            "{:>5} | {:>3} | {:>5} | {:>10} | {:>10} | {:>9}",
-            c.cycle,
+            "{cycle:>5} | {:>3} | {:>5} | {:>10} | {:>10} | {:>9}",
             c.occupancy,
-            c.issued_pc.map_or(String::new(), |pc| format!("pc{pc}")),
+            fmt(&c.issued),
             fmt(&c.dispatched),
             fmt(&c.finished),
             fmt(&c.committed),

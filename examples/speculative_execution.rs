@@ -5,7 +5,8 @@
 //! cargo run --release --example speculative_execution
 //! ```
 
-use ruu::issue::{AlwaysTaken, Btfn, Bypass, Mechanism, Predictor, SpecRuu, TwoBit};
+use ruu::issue::{Bypass, Mechanism};
+use ruu::predict::PredictorConfig;
 use ruu::sim::MachineConfig;
 use ruu::workloads::livermore;
 
@@ -29,28 +30,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         blocking.issue_rate()
     );
 
-    let mut predictors: Vec<Box<dyn Predictor>> = vec![
-        Box::new(AlwaysTaken),
-        Box::new(Btfn),
-        Box::new(TwoBit::default()),
-    ];
-    for p in &mut predictors {
-        let r = SpecRuu::new(cfg.clone(), 20, Bypass::Full).run(
-            &w.program,
-            w.memory.clone(),
-            w.inst_limit,
-            p.as_mut(),
-        )?;
-        w.verify(&r.run.memory)?; // speculation is architecturally invisible
+    for predictor in [
+        PredictorConfig::AlwaysTaken,
+        PredictorConfig::Btfn,
+        PredictorConfig::default(),
+    ] {
+        let r = Mechanism::SpecRuu {
+            entries: 20,
+            bypass: Bypass::Full,
+            predictor,
+        }
+        .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)?;
+        w.verify(&r.memory)?; // speculation is architecturally invisible
         println!(
             "speculative RUU(20, {:<12}): {:>7} cycles, IPC {:.3}  \
              ({} predicted, {} mispredicted, {} nullified)",
-            p.name(),
-            r.run.cycles,
-            r.run.issue_rate(),
-            r.spec.predicted,
-            r.spec.mispredicted,
-            r.spec.nullified,
+            predictor.to_string(),
+            r.cycles,
+            r.issue_rate(),
+            r.stats.predicted_branches,
+            r.stats.mispredicted_branches,
+            r.stats.nullified,
         );
     }
     Ok(())

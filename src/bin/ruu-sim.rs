@@ -70,9 +70,9 @@ use ruu::engine::json::JsonWriter;
 use ruu::engine::{Job, SweepEngine};
 use ruu::exec::{ArchState, Memory};
 use ruu::isa::text;
-use ruu::issue::{Bypass, Mechanism, PreciseScheme, PredictorConfig};
+use ruu::issue::{Bypass, Mechanism, PreciseScheme};
 use ruu::predict::cbp::{evaluate_with_btb, BranchStream, BtbStats, CbpResult};
-use ruu::predict::Btb;
+use ruu::predict::{Btb, PredictorConfig};
 use ruu::sim::{ChromeTraceObserver, CycleAccountant, DCacheConfig, MachineConfig, Tee};
 use ruu::workloads::{livermore, Workload};
 

@@ -14,14 +14,15 @@
 use proptest::prelude::*;
 
 use ruu::exec::ArchState;
-use ruu::issue::{Bypass, IssueSimulator, Mechanism, PreciseScheme, PredictorConfig, SpecRuu};
+use ruu::issue::{Bypass, IssueSimulator, Mechanism, PreciseScheme, Ruu};
+use ruu::predict::PredictorConfig;
 use ruu::sim::{ChromeTraceObserver, CycleAccountant, FlushAccountant, MachineConfig, Tee};
 use ruu::workloads::livermore;
 use ruu::workloads::synth::{random_program, SynthConfig};
 
 const LIMIT: u64 = 1_000_000;
 
-/// One representative of each of the six simulator families.
+/// One representative of each issue core and branch or buffer policy.
 fn all_simulators(cfg: &MachineConfig, entries: usize) -> Vec<(String, Box<dyn IssueSimulator>)> {
     let mechanisms = [
         Mechanism::Simple,
@@ -48,7 +49,9 @@ fn all_simulators(cfg: &MachineConfig, entries: usize) -> Vec<(String, Box<dyn I
         .collect();
     sims.push((
         "spec-ruu".to_string(),
-        Box::new(SpecRuu::new(cfg.clone(), entries, Bypass::Full)),
+        Box::new(
+            Ruu::new(cfg.clone(), entries, Bypass::Full).with_predictor(PredictorConfig::default()),
+        ),
     ));
     // The speculative machine again, under history-based predictors: the
     // accounting identity must hold for every predictor choice, since
@@ -132,7 +135,7 @@ fn observation_does_not_change_the_simulation() {
     let w = livermore::by_name("LLL3").expect("LLL3 exists");
     for (name, sim) in all_simulators(&cfg, 12) {
         let plain = sim
-            .run_from(ArchState::new(), w.memory.clone(), &w.program, w.inst_limit)
+            .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut acct = CycleAccountant::default();
         let observed = sim
@@ -310,7 +313,8 @@ fn spec_trace_records_flushes() {
     // instants on its dedicated track.
     let cfg = MachineConfig::paper();
     let w = livermore::by_name("LLL5").expect("LLL5 exists");
-    let sim: Box<dyn IssueSimulator> = Box::new(SpecRuu::new(cfg, 15, Bypass::Full));
+    let sim: Box<dyn IssueSimulator> =
+        Box::new(Ruu::new(cfg, 15, Bypass::Full).with_predictor(PredictorConfig::default()));
     let mut trace = ChromeTraceObserver::default();
     let r = sim
         .run_observed(
@@ -343,7 +347,7 @@ fn memory_state_is_identical_under_observation() {
     let cfg = MachineConfig::paper();
     for (name, sim) in all_simulators(&cfg, 10) {
         let plain = sim
-            .run_from(ArchState::new(), mem.clone(), &program, LIMIT)
+            .run(&program, mem.clone(), LIMIT)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut hist = ruu::sim::StallHistogram::default();
         let observed = sim

@@ -16,7 +16,8 @@
 
 use ruu::exec::ArchState;
 use ruu::isa::FuClass;
-use ruu::issue::{Bypass, Mechanism, PreciseScheme, PredictorConfig};
+use ruu::issue::{Bypass, Mechanism, PreciseScheme};
+use ruu::predict::PredictorConfig;
 use ruu::sim::{
     CycleAccountant, DCache, DCacheConfig, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind,
     StallReason,

@@ -69,7 +69,7 @@ fn parallel_grid_is_bit_identical_to_serial_grid() {
 /// scheduling has nothing to leak.
 #[test]
 fn speculative_grid_is_deterministic_for_every_predictor() {
-    use ruu::issue::PredictorConfig;
+    use ruu::predict::PredictorConfig;
     let cfg = MachineConfig::paper();
     let jobs: Vec<Job> = PredictorConfig::zoo()
         .into_iter()

@@ -6,10 +6,12 @@
 
 use proptest::prelude::*;
 
-use ruu::exec::Trace;
-use ruu::issue::{Bypass, WindowKind};
+use ruu::exec::{golden_state_at, ArchState, Memory, Trace};
+use ruu::isa::{Asm, Program, Reg};
+use ruu::issue::{Bypass, IssueSimulator, RunOutcome, Ruu, WindowKind};
 use ruu::precise::{fault_points, imprecision, FaultKind, PrecisionCheck};
-use ruu::sim::MachineConfig;
+use ruu::predict::PredictorConfig;
+use ruu::sim::{MachineConfig, NullObserver, PipelineObserver};
 use ruu::workloads::livermore;
 use ruu::workloads::synth::{random_program, SynthConfig};
 
@@ -40,6 +42,84 @@ fn arithmetic_faults_are_precise() {
     for &seq in &[flops[1], flops[flops.len() / 3]] {
         let r = check.run(&w.program, &w.memory, seq).unwrap();
         assert!(r.all_precise(), "at {seq}: {r:?}");
+    }
+}
+
+/// A loop whose branch direction alternates and resolves slowly (its
+/// condition is loaded), so a predictor keeps mispredicting.
+fn mispredicting_program() -> (Program, Memory) {
+    let mut a = Asm::new("alternating");
+    let top = a.new_label();
+    let skip = a.new_label();
+    a.a_imm(Reg::a(7), 20); // loop count in A7
+    a.a_imm(Reg::a(1), 0);
+    a.bind(top);
+    a.ld_a(Reg::a(0), Reg::a(1), 500); // alternating 0/1, slow
+    a.br_az(skip);
+    a.s_imm(Reg::s(1), 7);
+    a.st_s(Reg::s(1), Reg::a(1), 300);
+    a.bind(skip);
+    a.a_add_imm(Reg::a(1), Reg::a(1), 1);
+    a.a_sub_imm(Reg::a(7), Reg::a(7), 1);
+    a.a_add_imm(Reg::a(0), Reg::a(7), 0);
+    a.br_an(top);
+    a.halt();
+    let mut mem = Memory::new(1 << 12);
+    for i in 0..20 {
+        mem.write(500 + i, i % 2);
+    }
+    (a.assemble().expect("assembles"), mem)
+}
+
+/// Records the cycle of the first misprediction squash.
+#[derive(Default)]
+struct FirstFlush(Option<u64>);
+
+impl PipelineObserver for FirstFlush {
+    fn flush(&mut self, cycle: u64, _squashed: u64) {
+        self.0.get_or_insert(cycle);
+    }
+}
+
+#[test]
+fn interrupts_are_precise_under_speculation() {
+    // Under prediction, wrong-path instructions take sequence numbers too:
+    // the fault index names an *architectural* instruction, so a fault
+    // taken after a squash must still land on golden instruction `k`.
+    let (program, mem) = mispredicting_program();
+    let golden = Trace::capture(&program, mem.clone(), 100_000).unwrap();
+    let sim = Ruu::new(MachineConfig::paper(), 12, Bypass::Full)
+        .with_predictor(PredictorConfig::default());
+    let mut first = FirstFlush::default();
+    sim.run_observed(ArchState::new(), mem.clone(), &program, 100_000, &mut first)
+        .unwrap();
+    let first_flush = first.0.expect("the predictor mispredicts");
+
+    let points = fault_points(&golden, FaultKind::Any);
+    let late = &points[points.len() / 2..];
+    for &k in [late[0], late[late.len() / 2], late[late.len() - 1]].iter() {
+        let RunOutcome::Interrupted(frame) = sim
+            .run_with_exception(&program, mem.clone(), 100_000, k)
+            .unwrap()
+        else {
+            panic!("fault {k} was never taken");
+        };
+        assert!(frame.cycle > first_flush, "fault {k} precedes every squash");
+        assert_eq!(frame.committed, k);
+        let (state, memory) = golden_state_at(&program, mem.clone(), k).unwrap();
+        assert_eq!(frame.state, state, "fault {k}: registers and pc");
+        assert_eq!(frame.memory, memory, "fault {k}: memory");
+        let resumed = sim
+            .run_observed(
+                frame.state,
+                frame.memory,
+                &program,
+                100_000,
+                &mut NullObserver,
+            )
+            .unwrap();
+        assert_eq!(&resumed.state, golden.final_state(), "fault {k}: resumed");
+        assert_eq!(&resumed.memory, golden.final_memory(), "fault {k}: resumed");
     }
 }
 

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 
 use ruu::exec::Trace;
-use ruu::issue::{Bypass, Mechanism, SpecRuu, TwoBit};
+use ruu::issue::{Bypass, IssueSimulator, Mechanism, Ruu};
+use ruu::predict::PredictorConfig;
 use ruu::sim::MachineConfig;
 use ruu::workloads::synth::{random_program, SynthConfig};
 
@@ -85,13 +86,13 @@ proptest! {
         let golden = Trace::capture(&program, mem.clone(), LIMIT).expect("golden runs");
         let cfg = MachineConfig::paper();
         for bypass in [Bypass::Full, Bypass::None, Bypass::LimitedA] {
-            let mut pred = TwoBit::default();
-            let r = SpecRuu::new(cfg.clone(), entries, bypass)
-                .run(&program, mem.clone(), LIMIT, &mut pred)
+            let r = Ruu::new(cfg.clone(), entries, bypass)
+                .with_predictor(PredictorConfig::default())
+                .run(&program, mem.clone(), LIMIT)
                 .unwrap_or_else(|e| panic!("spec {bypass:?} failed on seed {seed}: {e}"));
-            prop_assert_eq!(&r.run.state.regs, &golden.final_state().regs);
-            prop_assert_eq!(&r.run.memory, golden.final_memory());
-            prop_assert_eq!(r.run.instructions, golden.len() as u64);
+            prop_assert_eq!(&r.state.regs, &golden.final_state().regs);
+            prop_assert_eq!(&r.memory, golden.final_memory());
+            prop_assert_eq!(r.instructions, golden.len() as u64);
         }
     }
 
