@@ -52,7 +52,7 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for (label, m) in mechanisms {
-        let pts = harness::sweep(&cfg, &[15], |_| m);
+        let pts = harness::try_sweep(&cfg, &[15], |_| m).expect("sweep");
         rows.push((label.to_string(), pts[0].speedup, pts[0].issue_rate));
     }
     print!(

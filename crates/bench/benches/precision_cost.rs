@@ -5,22 +5,24 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench precision_cost`.
 
-use ruu_bench::sweep;
+use ruu_bench::try_sweep;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::paper();
     let sizes = [4usize, 8, 10, 15, 20, 30];
-    let rstu = sweep(&cfg, &sizes, |entries| Mechanism::Rstu { entries });
-    let ruu = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
+    let rstu = try_sweep(&cfg, &sizes, |entries| Mechanism::Rstu { entries }).expect("RSTU sweep");
+    let ruu = try_sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
         entries,
         bypass: Bypass::Full,
-    });
-    let ruu_none = sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
+    })
+    .expect("RUU sweep");
+    let ruu_none = try_sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
         entries,
         bypass: Bypass::None,
-    });
+    })
+    .expect("RUU sweep");
 
     println!("### Extension A6 — the cost of precise interrupts");
     println!("| entries | RSTU speedup | RUU (bypass) | precision cost | RUU (no bypass) |");

@@ -56,7 +56,7 @@ fn main() {
     ];
     let mut out = Vec::new();
     for (label, m) in rows {
-        let pts = harness::sweep(&cfg, &[entries], |_| m);
+        let pts = harness::try_sweep(&cfg, &[entries], |_| m).expect("sweep");
         out.push((label, pts[0].speedup, pts[0].issue_rate));
     }
     print!(

@@ -3,25 +3,27 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench table1`.
 
-use ruu_bench::{baseline_rows, cache_ablation, predictor_ablation, report, stall_breakdown};
+use ruu_bench::{
+    report, try_baseline_rows, try_cache_ablation, try_predictor_ablation, try_stall_breakdown,
+};
 use ruu_issue::{Bypass, Mechanism};
 use ruu_predict::PredictorConfig;
 use ruu_sim_core::{DCacheConfig, MachineConfig};
 
 fn main() {
     let cfg = MachineConfig::paper();
-    let rows = baseline_rows(&cfg);
+    let rows = try_baseline_rows(&cfg).expect("baseline");
     println!("## Table 1 — statistics for the benchmark programs (simple issue)");
     println!();
     print!("{}", report::format_table1(&rows));
     println!();
-    let stalls = stall_breakdown(&cfg, Mechanism::Simple);
+    let stalls = try_stall_breakdown(&cfg, Mechanism::Simple).expect("stall breakdown");
     print!(
         "{}",
         report::format_stall_table("Where the cycles go (simple issue)", &stalls)
     );
     println!();
-    let ablation = predictor_ablation(&cfg, 15);
+    let ablation = try_predictor_ablation(&cfg, 15).expect("predictor ablation");
     print!(
         "{}",
         report::format_predictor_ablation(
@@ -51,7 +53,7 @@ fn main() {
         .iter()
         .map(|s| DCacheConfig::parse(s).expect("ablation geometry"))
         .collect();
-    let cache_rows = cache_ablation(&cfg, &mechanisms, &dcaches);
+    let cache_rows = try_cache_ablation(&cfg, &mechanisms, &dcaches).expect("cache ablation");
     print!(
         "{}",
         report::format_cache_ablation(

@@ -9,10 +9,9 @@
 //! `RUU_BENCH_JOBS` environment variable (`1` recovers serial
 //! execution). Numbers are bit-identical for any worker count.
 //!
-//! Every entry point comes in two flavours: a `try_*` function returning
-//! `Result<_, HarnessError>` (workload-verification failures and
-//! simulator errors are typed, not panics) and a thin panicking shim
-//! with the legacy name, kept for the existing bench targets.
+//! Every entry point returns `Result<_, HarnessError>`: workload-
+//! verification failures and simulator errors are typed, not panics.
+//! Callers that cannot recover (bench targets, tests) `.expect` them.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -223,15 +222,6 @@ pub fn try_stall_breakdown(
     Ok(rows)
 }
 
-/// Panicking shim over [`try_stall_breakdown`] for bench targets.
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn stall_breakdown(config: &MachineConfig, mechanism: Mechanism) -> Vec<StallBreakdownRow> {
-    try_stall_breakdown(config, mechanism).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Runs the baseline (simple issue) over the full Livermore suite,
 /// returning per-loop rows plus a `Total` row (paper Table 1).
 ///
@@ -260,15 +250,6 @@ pub fn try_baseline_rows(config: &MachineConfig) -> Result<Vec<BaselineRow>, Har
     Ok(rows)
 }
 
-/// Panicking shim over [`try_baseline_rows`] for bench targets.
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn baseline_rows(config: &MachineConfig) -> Vec<BaselineRow> {
-    try_baseline_rows(config).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Total baseline cycles over the suite (the denominator of every
 /// "relative speedup" in the paper), memoized per configuration.
 ///
@@ -276,15 +257,6 @@ pub fn baseline_rows(config: &MachineConfig) -> Vec<BaselineRow> {
 /// Propagates the first failing loop as a [`HarnessError`].
 pub fn try_baseline_total_cycles(config: &MachineConfig) -> Result<u64, HarnessError> {
     Ok(engine().baseline_cycles(config)?)
-}
-
-/// Panicking shim over [`try_baseline_total_cycles`].
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn baseline_total_cycles(config: &MachineConfig) -> u64 {
-    try_baseline_total_cycles(config).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Sweeps a mechanism over window sizes on the shared engine, also
@@ -327,19 +299,6 @@ pub fn try_sweep(
     make: impl Fn(usize) -> Mechanism,
 ) -> Result<Vec<SweepPoint>, HarnessError> {
     try_sweep_report(config, entries_list, make).map(|(points, _)| points)
-}
-
-/// Panicking shim over [`try_sweep`] for bench targets.
-///
-/// # Panics
-/// Panics on any simulator or verification failure.
-#[must_use]
-pub fn sweep(
-    config: &MachineConfig,
-    entries_list: &[usize],
-    make: impl Fn(usize) -> Mechanism,
-) -> Vec<SweepPoint> {
-    try_sweep(config, entries_list, make).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The legacy serial sweep: a plain loop over `Mechanism::run`, with its
@@ -482,12 +441,6 @@ pub fn try_predictor_ablation(
         .collect())
 }
 
-/// Panicking shim over [`try_predictor_ablation`].
-#[must_use]
-pub fn predictor_ablation(config: &MachineConfig, entries: usize) -> Vec<PredictorAblationRow> {
-    try_predictor_ablation(config, entries).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// One row of the data-cache ablation table: one mechanism under one
 /// data-cache timing model, suite totals.
 #[derive(Debug, Clone)]
@@ -552,16 +505,6 @@ pub fn try_cache_ablation(
     Ok(rows)
 }
 
-/// Panicking shim over [`try_cache_ablation`].
-#[must_use]
-pub fn cache_ablation(
-    config: &MachineConfig,
-    mechanisms: &[Mechanism],
-    dcaches: &[DCacheConfig],
-) -> Vec<CacheAblationRow> {
-    try_cache_ablation(config, mechanisms, dcaches).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,7 +512,7 @@ mod tests {
 
     #[test]
     fn baseline_rows_cover_all_loops() {
-        let rows = baseline_rows(&MachineConfig::paper());
+        let rows = try_baseline_rows(&MachineConfig::paper()).expect("baseline");
         assert_eq!(rows.len(), 15);
         assert_eq!(rows[14].name, "Total");
         let sum: u64 = rows[..14].iter().map(|r| r.instructions).sum();
@@ -587,7 +530,7 @@ mod tests {
     #[test]
     fn predictor_ablation_reflects_cbp_wins_in_cycles() {
         let cfg = MachineConfig::paper();
-        let rows = predictor_ablation(&cfg, 15);
+        let rows = try_predictor_ablation(&cfg, 15).expect("predictor ablation");
         assert_eq!(rows.len(), 7, "one row per zoo predictor");
         let find = |name: &str| {
             rows.iter()
@@ -614,29 +557,36 @@ mod tests {
     #[test]
     fn sweep_reports_relative_speedup() {
         let cfg = MachineConfig::paper();
-        let pts = sweep(&cfg, &[10], |entries| Mechanism::Ruu {
+        let pts = try_sweep(&cfg, &[10], |entries| Mechanism::Ruu {
             entries,
             bypass: Bypass::Full,
-        });
+        })
+        .expect("sweep");
         assert_eq!(pts.len(), 1);
         assert!(pts[0].speedup > 0.5 && pts[0].speedup < 3.0);
     }
 
     #[test]
     fn try_sweep_surfaces_errors_instead_of_panicking() {
-        // An impossible mechanism size: a 0-entry RSTU deadlocks issue
-        // immediately, which the simulator reports as an error the
-        // harness must surface (not panic on).
-        let cfg = MachineConfig::paper();
-        let result = try_sweep(&cfg, &[0], |entries| Mechanism::Rstu { entries });
+        // An impossible machine: with no dispatch path the RSTU fills and
+        // never drains, which the simulator reports as a deadlock error
+        // the harness must surface (not panic on).
+        let cfg = MachineConfig {
+            dispatch_paths: 0,
+            ..MachineConfig::paper()
+        };
+        let result = try_sweep(&cfg, &[4], |entries| Mechanism::Rstu { entries });
         assert!(matches!(result, Err(HarnessError::Sim { .. })));
     }
 
     #[test]
     fn baseline_total_matches_rows() {
         let cfg = MachineConfig::paper();
-        let rows = baseline_rows(&cfg);
-        assert_eq!(baseline_total_cycles(&cfg), rows[14].cycles);
+        let rows = try_baseline_rows(&cfg).expect("baseline");
+        assert_eq!(
+            try_baseline_total_cycles(&cfg).expect("baseline"),
+            rows[14].cycles
+        );
     }
 
     #[test]
@@ -655,13 +605,14 @@ mod tests {
     #[test]
     fn stall_breakdown_accounts_for_every_cycle() {
         let cfg = MachineConfig::paper();
-        let rows = stall_breakdown(
+        let rows = try_stall_breakdown(
             &cfg,
             Mechanism::Ruu {
                 entries: 10,
                 bypass: Bypass::Full,
             },
-        );
+        )
+        .expect("stall breakdown");
         assert_eq!(rows.len(), engine().suite().len());
         for row in &rows {
             assert_eq!(

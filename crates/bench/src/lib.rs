@@ -28,9 +28,7 @@ pub mod paper;
 pub mod report;
 
 pub use harness::{
-    baseline_rows, baseline_total_cycles, cache_ablation, engine, predictor_ablation,
-    stall_breakdown, sweep, sweep_serial, try_baseline_rows, try_baseline_total_cycles,
-    try_cache_ablation, try_predictor_ablation, try_stall_breakdown, try_sweep, try_sweep_report,
-    BaselineRow, CacheAblationRow, HarnessError, PredictorAblationRow, StallBreakdownRow,
-    SweepPoint,
+    engine, sweep_serial, try_baseline_rows, try_baseline_total_cycles, try_cache_ablation,
+    try_predictor_ablation, try_stall_breakdown, try_sweep, try_sweep_report, BaselineRow,
+    CacheAblationRow, HarnessError, PredictorAblationRow, StallBreakdownRow, SweepPoint,
 };

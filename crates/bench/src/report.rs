@@ -254,10 +254,11 @@ mod tests {
 
     #[test]
     fn stall_table_lists_active_reasons_and_total() {
-        let rows = crate::harness::stall_breakdown(
+        let rows = crate::harness::try_stall_breakdown(
             &ruu_sim_core::MachineConfig::paper(),
             ruu_issue::Mechanism::Simple,
-        );
+        )
+        .expect("stall breakdown");
         let s = format_stall_table("Where the cycles go", &rows);
         assert!(s.contains("operands-not-ready"));
         assert!(s.contains("drained"));

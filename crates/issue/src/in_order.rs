@@ -47,7 +47,6 @@ use ruu_sim_core::{
     StallReason,
 };
 
-use crate::common::{FetchSlot, Frontend, Operand, Tag};
 use crate::simulator::IssueSimulator;
 use crate::SimError;
 
@@ -158,6 +157,104 @@ impl IssueSimulator for InOrder {
     }
 }
 
+/// The instruction-fetch frontend: tracks the program counter, the dead
+/// cycles after branches, and a conditional branch parked in decode.
+///
+/// One instruction may enter decode/issue per cycle (paper §2.2); after a
+/// branch resolves, fetch redirect costs `branch_taken_penalty` (or
+/// `branch_untaken_penalty`) dead cycles.
+#[derive(Debug, Clone)]
+struct Frontend {
+    pc: u32,
+    next_fetch_cycle: u64,
+    /// A conditional branch waiting in decode for its condition register
+    /// (paper §6.3: it "has to wait in the decode and issue unit until
+    /// the value of A0 appears on a bus").
+    parked: Option<Inst>,
+}
+
+/// What the frontend offers the decode/issue stage this cycle.
+#[derive(Debug, Clone, Copy)]
+enum FetchSlot {
+    /// A fetched instruction at this pc, ready to decode.
+    Inst(u32, Inst),
+    /// Dead cycle following a branch.
+    Dead,
+    /// This parked conditional branch is waiting for its condition.
+    BranchParked(Inst),
+    /// The program has halted; nothing more will be fetched.
+    Halted,
+}
+
+impl Frontend {
+    fn new(start: u32) -> Self {
+        Frontend {
+            pc: start,
+            next_fetch_cycle: 0,
+            parked: None,
+        }
+    }
+
+    /// Current program counter (next instruction to decode).
+    fn pc(&self) -> u32 {
+        self.pc
+    }
+
+    /// What decode/issue sees at `cycle`.
+    fn peek(&self, cycle: u64, program: &Program) -> FetchSlot {
+        if let Some(inst) = self.parked {
+            return FetchSlot::BranchParked(inst);
+        }
+        if cycle < self.next_fetch_cycle {
+            return FetchSlot::Dead;
+        }
+        match program.get(self.pc) {
+            Some(i) if i.is_halt() => FetchSlot::Halted,
+            Some(i) => FetchSlot::Inst(self.pc, *i),
+            None => FetchSlot::Halted, // running off the end halts; the
+                                       // golden interpreter flags it as an
+                                       // error so equivalence tests catch it
+        }
+    }
+
+    /// Notes that decode consumed the instruction at the current pc
+    /// (non-branch): advances to the next sequential instruction.
+    fn advance(&mut self) {
+        self.pc += 1;
+    }
+
+    /// Parks a conditional branch whose condition is not yet available.
+    fn park_branch(&mut self, inst: Inst) {
+        debug_assert!(self.parked.is_none(), "branch already parked");
+        self.parked = Some(inst);
+    }
+
+    /// Resolves a branch at `cycle`: redirects the pc and charges the dead
+    /// cycles. Clears any parked branch. Returns whether it was taken.
+    fn resolve_branch(
+        &mut self,
+        cycle: u64,
+        inst: &Inst,
+        cond_value: u64,
+        config: &MachineConfig,
+        stats: &mut RunStats,
+    ) -> bool {
+        let taken = semantics::branch_taken(inst.opcode, cond_value);
+        stats.branches += 1;
+        let penalty = if taken {
+            stats.taken_branches += 1;
+            self.pc = inst.target.expect("branch has a target");
+            config.branch_taken_penalty
+        } else {
+            self.pc += 1;
+            config.branch_untaken_penalty
+        };
+        self.next_fetch_cycle = cycle + 1 + penalty;
+        self.parked = None;
+        taken
+    }
+}
+
 struct Core<'a> {
     sim: &'a InOrder,
     program: &'a Program,
@@ -257,10 +354,7 @@ impl Core<'_> {
         let (pc, inst) = match slot {
             FetchSlot::Halted => return Ok(Some(StallReason::Drained)),
             FetchSlot::Dead => return Ok(Some(StallReason::DeadCycle)),
-            FetchSlot::BranchParked => {
-                let pb = *self.frontend.pending_branch().expect("branch is parked");
-                return Ok(self.try_resolve(&pb.inst));
-            }
+            FetchSlot::BranchParked(inst) => return Ok(self.try_resolve(&inst)),
             FetchSlot::Inst(pc, inst) => (pc, inst),
         };
         if self.issued >= self.limit {
@@ -270,9 +364,7 @@ impl Core<'_> {
         if inst.is_branch() {
             let stall = self.try_resolve(&inst);
             if stall.is_some() {
-                let reg = inst.src1.expect("waiting branch reads a register");
-                let cond = Operand::Waiting(Tag { reg, instance: 0 });
-                self.frontend.park_branch(pc, inst, cond);
+                self.frontend.park_branch(inst);
             }
             return Ok(stall);
         }
@@ -373,8 +465,84 @@ impl Core<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruu_isa::{Asm, Reg};
+    use ruu_isa::{Asm, Opcode, Reg};
     use ruu_workloads::livermore;
+
+    fn prog() -> Program {
+        let mut a = Asm::new("t");
+        let top = a.new_label();
+        a.bind(top);
+        a.a_imm(Reg::a(0), 0);
+        a.br_an(top);
+        a.halt();
+        a.assemble().unwrap()
+    }
+
+    #[test]
+    fn frontend_sequences_and_halts() {
+        let p = prog();
+        let mut f = Frontend::new(0);
+        let FetchSlot::Inst(pc, i) = f.peek(0, &p) else {
+            panic!("expected an instruction");
+        };
+        assert_eq!(pc, 0);
+        assert_eq!(i.opcode, Opcode::AImm);
+        f.advance();
+        // Now at the branch
+        let FetchSlot::Inst(_, br) = f.peek(1, &p) else {
+            panic!("expected branch");
+        };
+        assert!(br.is_branch());
+    }
+
+    #[test]
+    fn branch_resolution_charges_dead_cycles() {
+        let p = prog();
+        let cfg = MachineConfig::paper();
+        let mut stats = RunStats::default();
+        let mut f = Frontend::new(1);
+        let br = p[1];
+        // not taken (A0 == 0 means BrAN falls through)
+        let taken = f.resolve_branch(10, &br, 0, &cfg, &mut stats);
+        assert!(!taken);
+        assert_eq!(f.pc(), 2);
+        // dead until 10 + 1 + untaken penalty
+        for c in 11..11 + cfg.branch_untaken_penalty {
+            assert!(matches!(f.peek(c, &p), FetchSlot::Dead));
+        }
+        assert!(matches!(
+            f.peek(11 + cfg.branch_untaken_penalty, &p),
+            FetchSlot::Halted // pc 2 is Halt
+        ));
+        assert_eq!(stats.branches, 1);
+        assert_eq!(stats.taken_branches, 0);
+    }
+
+    #[test]
+    fn taken_branch_redirects() {
+        let p = prog();
+        let cfg = MachineConfig::paper();
+        let mut stats = RunStats::default();
+        let mut f = Frontend::new(1);
+        let br = p[1];
+        let taken = f.resolve_branch(5, &br, 1, &cfg, &mut stats);
+        assert!(taken);
+        assert_eq!(f.pc(), 0);
+        assert!(matches!(f.peek(6, &p), FetchSlot::Dead));
+        assert!(matches!(
+            f.peek(6 + cfg.branch_taken_penalty, &p),
+            FetchSlot::Inst(0, _)
+        ));
+    }
+
+    #[test]
+    fn parked_branch_blocks_fetch() {
+        let p = prog();
+        let mut f = Frontend::new(1);
+        let br = p[1];
+        f.park_branch(br);
+        assert!(matches!(f.peek(3, &p), FetchSlot::BranchParked(_)));
+    }
 
     fn run(asm: Asm) -> RunResult {
         let p = asm.assemble().unwrap();

@@ -1,19 +1,25 @@
 //! # ruu-issue — the instruction-issue mechanisms of the RUU paper
 //!
 //! Cycle-level, execution-driven simulators of every issue mechanism the
-//! paper discusses. Each [`Mechanism`] variant builds one of three cores;
-//! the variants differ only in the distinctions the paper draws:
+//! paper discusses. Each [`Mechanism`] variant builds one of two cores,
+//! in-order issue ([`InOrder`]) or out-of-order issue ([`Ruu`]); within a
+//! core the variants differ only in the distinctions the paper draws,
+//! such as where results wait:
 //!
 //! | Mechanism | Paper | Core |
 //! |---|---|---|
 //! | `Simple`: in-order, blocking issue | §2.2, Table 1 | [`InOrder`], no scheme (imprecise) |
-//! | `Tomasulo`: distributed reservation stations | §3.1 | [`TaggedSim`], [`WindowKind::Distributed`] |
-//! | `TagUnitDistributed`: Tag Unit + distributed stations | §3.2.1 | [`TaggedSim`], [`WindowKind::TagUnitDistributed`] |
-//! | `RsPool`: Tag Unit + merged station pool | §3.2.2 | [`TaggedSim`], [`WindowKind::Pooled`] |
-//! | `Rstu`: the RSTU | §3.2.3, Tables 2–3 | [`TaggedSim`], [`WindowKind::Merged`] |
 //! | `InOrderPrecise`: Smith & Pleszkun buffers | §4 | [`InOrder`] with a [`PreciseScheme`] |
-//! | `Ruu`: the RUU, branches park in decode | §5–6, Tables 4–6 | [`Ruu`] |
+//! | `Tomasulo`: distributed reservation stations | §3.1 | [`Ruu::tagged`], [`WindowKind::Distributed`] |
+//! | `TagUnitDistributed`: Tag Unit + distributed stations | §3.2.1 | [`Ruu::tagged`], [`WindowKind::TagUnitDistributed`] |
+//! | `RsPool`: Tag Unit + merged station pool | §3.2.2 | [`Ruu::tagged`], [`WindowKind::Pooled`] |
+//! | `Rstu`: the RSTU | §3.2.3, Tables 2–3 | [`Ruu::tagged`], [`WindowKind::Merged`] |
+//! | `Ruu`: the RUU, branches park in decode | §5–6, Tables 4–6 | [`Ruu::new`] |
 //! | `SpecRuu`: the RUU plus branch prediction | §7 | [`Ruu::with_predictor`] |
+//!
+//! [`Ruu::tagged`] machines write results to the register file as they
+//! complete (imprecise); [`Ruu::new`] machines hold them in the window
+//! until in-order commit (precise).
 //!
 //! All simulators share the [`ruu_sim_core::MachineConfig`] machine model,
 //! run behind the one-method [`IssueSimulator`] trait, and compute real
@@ -23,21 +29,18 @@
 
 use std::fmt;
 
-pub mod common;
+mod common;
 pub mod in_order;
 pub mod mechanism;
 pub mod ruu;
 pub mod simulator;
 pub mod tag_unit;
-pub mod tagged;
 
-pub use common::{Broadcasts, FetchSlot, Frontend, Operand, PendingBranch, Tag};
 pub use in_order::{InOrder, PreciseScheme};
 pub use mechanism::Mechanism;
-pub use ruu::{Bypass, InterruptFrame, RunOutcome, Ruu};
+pub use ruu::{Bypass, InterruptFrame, RunOutcome, Ruu, WindowKind};
 pub use simulator::IssueSimulator;
 pub use tag_unit::{TagRetirement, TagUnitModel, TuEntry};
-pub use tagged::{TaggedSim, WindowKind};
 
 /// Errors from the timing simulators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

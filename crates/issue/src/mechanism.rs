@@ -10,9 +10,8 @@ use ruu_sim_core::{MachineConfig, RunResult};
 use ruu_predict::PredictorConfig;
 
 use crate::in_order::{InOrder, PreciseScheme};
-use crate::ruu::{Bypass, Ruu};
+use crate::ruu::{Bypass, Ruu, WindowKind};
 use crate::simulator::IssueSimulator;
-use crate::tagged::{TaggedSim, WindowKind};
 use crate::SimError;
 
 /// Any of the paper's issue mechanisms, with its sizing parameters.
@@ -101,22 +100,20 @@ impl Mechanism {
     pub fn build(&self, config: &MachineConfig) -> Box<dyn IssueSimulator> {
         match *self {
             Mechanism::Simple => Box::new(InOrder::new(config.clone())),
-            Mechanism::Tomasulo { rs_per_fu } => Box::new(TaggedSim::new(
+            Mechanism::Tomasulo { rs_per_fu } => Box::new(Ruu::tagged(
                 config.clone(),
                 WindowKind::Distributed { rs_per_fu },
             )),
-            Mechanism::TagUnitDistributed { rs_per_fu, tags } => Box::new(TaggedSim::new(
+            Mechanism::TagUnitDistributed { rs_per_fu, tags } => Box::new(Ruu::tagged(
                 config.clone(),
                 WindowKind::TagUnitDistributed { rs_per_fu, tags },
             )),
-            Mechanism::RsPool { rs, tags } => Box::new(TaggedSim::new(
-                config.clone(),
-                WindowKind::Pooled { rs, tags },
-            )),
-            Mechanism::Rstu { entries } => Box::new(TaggedSim::new(
-                config.clone(),
-                WindowKind::Merged { entries },
-            )),
+            Mechanism::RsPool { rs, tags } => {
+                Box::new(Ruu::tagged(config.clone(), WindowKind::Pooled { rs, tags }))
+            }
+            Mechanism::Rstu { entries } => {
+                Box::new(Ruu::tagged(config.clone(), WindowKind::Merged { entries }))
+            }
             Mechanism::Ruu { entries, bypass } => {
                 Box::new(Ruu::new(config.clone(), entries, bypass))
             }

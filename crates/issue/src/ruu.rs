@@ -1,18 +1,31 @@
-//! The **Register Update Unit** (paper §5–7, Figure 5).
+//! The out-of-order core: the **Register Update Unit** (paper §5–7,
+//! Figure 5) and the tagged mechanisms of §3 it grew out of.
 //!
-//! The RUU is the paper's contribution: the merged reservation-station /
-//! tag-unit structure (RSTU) managed as a FIFO queue. Instructions enter at
-//! the tail in program order, issue to the functional units out of order as
-//! their operands arrive, and **commit in program order from the head**,
-//! which makes interrupts precise (paper §4–5).
+//! Instructions enter a window in program order, wait there for their
+//! operands (monitoring the result bus by tag), and issue to the
+//! functional units out of order. The RUU is the merged
+//! reservation-station / tag-unit structure of §3.2.3 (the RSTU) managed
+//! as a FIFO queue; one thing separates the two, **where results wait**:
 //!
-//! Managing the window as a queue removes the associative tag search of
-//! the RSTU: each register carries two small counters, *NI* (number of
-//! instances in the RUU) and *LI* (latest instance); a tag is just the
-//! register number appended with LI (paper §5.1).
+//! * [`Ruu::new`] — results wait in the window and **commit in program
+//!   order from the head**, which makes interrupts precise (paper §4–5).
+//!   Managing the window as a queue removes the associative tag search:
+//!   each register carries two small counters, *NI* (number of instances
+//!   in the RUU) and *LI* (latest instance); a tag is just the register
+//!   number appended with LI (paper §5.1).
+//! * [`Ruu::tagged`] — results go to the register file **as they
+//!   complete**, out of program order, so interrupts are *imprecise*. A
+//!   completing result updates the register file only if it is the
+//!   latest instance of its register (Tomasulo's register-capture rule;
+//!   the paper's "may update the register but may not unlock it" wording
+//!   is modelled this way so that stale instances never clobber newer
+//!   values). A store writes memory when it executes. [`WindowKind`]
+//!   says where the reservation stations live and how many tags exist:
+//!   Tomasulo (§3.1), the Tag Unit with distributed stations (§3.2.1) or
+//!   with a merged pool (§3.2.2), and the RSTU (§3.2.3).
 //!
-//! Three operand-bypass policies are modelled, matching the paper's three
-//! evaluations:
+//! Three operand-bypass policies are modelled for in-order commit,
+//! matching the paper's three evaluations:
 //!
 //! * [`Bypass::Full`] — source operands may be read from any executed RUU
 //!   entry (Table 4);
@@ -25,14 +38,14 @@
 //!
 //! Two branch policies are modelled. Without a predictor, a conditional
 //! branch whose condition is not ready **parks in decode** until the value
-//! appears on a bus (§6.3). With one ([`Ruu::with_predictor`]), the
-//! machine is the §7 extension, **conditional execution**: the predicted
-//! path is fetched, speculative instructions execute but cannot commit past
-//! an unresolved branch, and a misprediction nullifies every younger entry:
-//! their NI/LI instances and load registers are released, and the A future
-//! file is restored from the branch's snapshot. Either way the
-//! architectural state is untouched by speculation, so the
-//! golden-equivalence tests hold for both.
+//! appears on a bus (§6.3). With one ([`Ruu::with_predictor`], in-order
+//! commit only), the machine is the §7 extension, **conditional
+//! execution**: the predicted path is fetched, speculative instructions
+//! execute but cannot commit past an unresolved branch, and a
+//! misprediction nullifies every younger entry: their NI/LI instances and
+//! load registers are released, and the A future file is restored from
+//! the branch's snapshot. Either way the architectural state is untouched
+//! by speculation, so the golden-equivalence tests hold for both.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -73,6 +86,57 @@ impl Bypass {
     }
 }
 
+/// Window organisation of a tagged mechanism, whose results go to the
+/// register file at completion: where the reservation stations live and
+/// how many tags exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowKind {
+    /// Classic Tomasulo (§3.1): `rs_per_fu` reservation stations at each
+    /// functional unit; every register is tagged (no tag limit;
+    /// conceptually 144 tag-matching units, the expense the Tag Unit
+    /// removes).
+    Distributed {
+        /// Reservation stations per functional unit.
+        rs_per_fu: usize,
+    },
+    /// A central Tag Unit (capacity `tags`) holding tags only for
+    /// currently active registers, with distributed reservation stations
+    /// (§3.2.1, Figure 2).
+    TagUnitDistributed {
+        /// Reservation stations per functional unit.
+        rs_per_fu: usize,
+        /// Tag Unit entries.
+        tags: usize,
+    },
+    /// Central Tag Unit + merged reservation-station pool (§3.2.2;
+    /// stations are released when the instruction dispatches to a unit).
+    Pooled {
+        /// Stations in the merged pool.
+        rs: usize,
+        /// Tag Unit entries.
+        tags: usize,
+    },
+    /// The RSTU (§3.2.3, Figure 4): one merged structure; an entry is
+    /// both station and tag and is released at writeback.
+    Merged {
+        /// RSTU entries.
+        entries: usize,
+    },
+}
+
+impl WindowKind {
+    /// How many instructions may hold a tag at once, if limited.
+    fn tags(self) -> Option<usize> {
+        match self {
+            WindowKind::Distributed { .. } => None,
+            WindowKind::TagUnitDistributed { tags, .. } | WindowKind::Pooled { tags, .. } => {
+                Some(tags)
+            }
+            WindowKind::Merged { entries } => Some(entries),
+        }
+    }
+}
+
 /// The machine state captured when the RUU takes a precise interrupt.
 #[derive(Debug, Clone)]
 pub struct InterruptFrame {
@@ -101,13 +165,25 @@ pub enum RunOutcome {
     Interrupted(InterruptFrame),
 }
 
-/// Configuration + entry point for the RUU simulator.
+/// Configuration + entry point for the out-of-order simulator.
 #[derive(Debug, Clone)]
 pub struct Ruu {
     config: MachineConfig,
-    entries: usize,
-    bypass: Bypass,
-    predictor: Option<PredictorConfig>,
+    retire: Retire,
+}
+
+/// Where results wait: the one thing separating the RUU from the tagged
+/// mechanisms. Bypass and speculation exist only under in-order commit.
+#[derive(Debug, Clone, Copy)]
+enum Retire {
+    /// Results wait in a FIFO window of `entries` until in-order commit.
+    InOrder {
+        entries: usize,
+        bypass: Bypass,
+        predictor: Option<PredictorConfig>,
+    },
+    /// Results go to the register file at completion.
+    AtCompletion(WindowKind),
 }
 
 impl Ruu {
@@ -121,9 +197,38 @@ impl Ruu {
         assert!(entries > 0, "the RUU needs at least one entry");
         Ruu {
             config,
-            entries,
-            bypass,
-            predictor: None,
+            retire: Retire::InOrder {
+                entries,
+                bypass,
+                predictor: None,
+            },
+        }
+    }
+
+    /// Creates a tagged (§3) simulator: the same window, but results go to
+    /// the register file at completion, organised as `kind`.
+    ///
+    /// # Panics
+    /// Panics if any size in `kind` is zero: such a window can never
+    /// accept an instruction.
+    #[must_use]
+    pub fn tagged(config: MachineConfig, kind: WindowKind) -> Self {
+        let (stations, tags) = match kind {
+            WindowKind::Distributed { rs_per_fu } => (rs_per_fu, 1),
+            WindowKind::TagUnitDistributed {
+                rs_per_fu: stations,
+                tags,
+            }
+            | WindowKind::Pooled { rs: stations, tags } => (stations, tags),
+            WindowKind::Merged { entries } => (entries, 1),
+        };
+        assert!(
+            stations > 0 && tags > 0,
+            "{kind:?}: every window size must be at least 1"
+        );
+        Ruu {
+            config,
+            retire: Retire::AtCompletion(kind),
         }
     }
 
@@ -131,13 +236,18 @@ impl Ruu {
     /// builds a fresh predictor from this configuration.
     ///
     /// # Panics
-    /// Panics if `predictor` fails [`PredictorConfig::validate`].
+    /// Panics if `predictor` fails [`PredictorConfig::validate`], or if
+    /// this is a [`Ruu::tagged`] machine: speculation needs in-order
+    /// commit.
     #[must_use]
     pub fn with_predictor(mut self, predictor: PredictorConfig) -> Self {
         if let Err(e) = predictor.validate() {
             panic!("invalid predictor configuration: {e}");
         }
-        self.predictor = Some(predictor);
+        let Retire::InOrder { predictor: p, .. } = &mut self.retire else {
+            panic!("speculation needs in-order commit");
+        };
+        *p = Some(predictor);
         self
     }
 
@@ -153,6 +263,9 @@ impl Ruu {
     /// # Errors
     /// [`SimError::InstLimit`] if more than `limit` instructions issue;
     /// [`SimError::Deadlock`] on internal lack of progress (a bug).
+    ///
+    /// # Panics
+    /// Panics on a [`Ruu::tagged`] machine, which has no commit point.
     pub fn run_with_exception(
         &self,
         program: &Program,
@@ -160,9 +273,37 @@ impl Ruu {
         limit: u64,
         fault_seq: u64,
     ) -> Result<RunOutcome, SimError> {
+        assert!(
+            matches!(self.retire, Retire::InOrder { .. }),
+            "precise interrupts need in-order commit"
+        );
         let mut nobs = NullObserver;
         let state = ArchState::new();
         Core::new(self, state, mem, program, limit, Some(fault_seq), &mut nobs).run()
+    }
+
+    /// Runs until the dynamic instruction `probe_seq` has *executed*
+    /// (updated machine state), then returns a snapshot of the
+    /// architectural registers and memory at that moment. A tagged
+    /// machine may show a younger store done while an older register write
+    /// is not (imprecise); the RUU shows its committed prefix.
+    ///
+    /// Returns `None` if the probe instruction never executed.
+    ///
+    /// # Errors
+    /// As for [`IssueSimulator::run`].
+    pub fn snapshot_at_execute(
+        &self,
+        program: &Program,
+        mem: Memory,
+        limit: u64,
+        probe_seq: u64,
+    ) -> Result<Option<(ArchState, Memory)>, SimError> {
+        let mut nobs = NullObserver;
+        let mut core = Core::new(self, ArchState::new(), mem, program, limit, None, &mut nobs);
+        core.probe = Some(probe_seq);
+        core.run()?;
+        Ok(core.probe_result.take())
     }
 }
 
@@ -211,6 +352,8 @@ struct Entry {
     inst: Inst,
     dst_tag: Option<Tag>,
     ops: [Operand; 2],
+    /// Left its reservation station: sent to a unit, or (a forwarded
+    /// load) booked the result bus.
     dispatched: bool,
     executed: bool,
     result: Option<u64>,
@@ -255,8 +398,10 @@ struct BranchRecord {
 struct Core<'a> {
     cfg: &'a MachineConfig,
     program: &'a Program,
-    bypass: Bypass,
-    capacity: usize,
+    retire: Retire,
+    /// Turns LI into a tag: the counter width under in-order commit; at
+    /// completion there is no counter and every instance keeps its own tag.
+    tag_mask: u64,
     limit: u64,
     fault_seq: Option<u64>,
     predictor: Option<Box<dyn Predictor>>,
@@ -264,9 +409,13 @@ struct Core<'a> {
     cycle: u64,
     arch: ArchState,
     mem: Memory,
+    /// NI: instances of each register whose result the register file
+    /// still awaits. In order that is every instance in the window; at
+    /// completion it drops to zero when the latest instance writes back.
     ni: [u32; NUM_REGS],
     li: [u64; NUM_REGS],
     ff: [FfEntry; 8],
+    /// In-flight instructions in program order.
     window: VecDeque<Entry>,
     branches: VecDeque<BranchRecord>,
     mem_queue: VecDeque<u64>,
@@ -292,11 +441,16 @@ struct Core<'a> {
     seq: u64,
     /// Instructions squashed so far (window entries and branches).
     squashed: u64,
-    /// Architectural completions: commits + resolved branches.
+    /// Architectural completions: commits (or, at completion, finished
+    /// entries and Nops) + resolved branches.
     completed: u64,
     events_scheduled: u64,
     last_progress: (u64, u64),
     last_progress_cycle: u64,
+    /// [`Ruu::snapshot_at_execute`]: the instruction to snapshot at, and
+    /// the snapshot once taken.
+    probe: Option<u64>,
+    probe_result: Option<(ArchState, Memory)>,
 }
 
 impl<'a> Core<'a> {
@@ -315,14 +469,20 @@ impl<'a> Core<'a> {
             cfg.fu_latency(FuClass::Memory),
             mem.len() as u64,
         );
+        let (tag_mask, predictor) = match ruu.retire {
+            Retire::InOrder { predictor, .. } => {
+                ((1u64 << cfg.counter_bits) - 1, predictor.map(|p| p.build()))
+            }
+            Retire::AtCompletion(_) => (u64::MAX, None),
+        };
         Core {
             cfg,
             program,
-            bypass: ruu.bypass,
-            capacity: ruu.entries,
+            retire: ruu.retire,
+            tag_mask,
             limit,
             fault_seq,
-            predictor: ruu.predictor.map(|p| p.build()),
+            predictor,
             cycle: 0,
             pc: state.pc,
             arch: state,
@@ -351,11 +511,13 @@ impl<'a> Core<'a> {
             events_scheduled: 0,
             last_progress: (0, 0),
             last_progress_cycle: 0,
+            probe: None,
+            probe_result: None,
         }
     }
 
-    fn tag_mask(&self) -> u64 {
-        (1u64 << self.cfg.counter_bits) - 1
+    fn at_completion(&self) -> bool {
+        matches!(self.retire, Retire::AtCompletion(_))
     }
 
     fn pos(&self, seq: u64) -> usize {
@@ -389,12 +551,25 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Broadcast on the result bus: also updates the A future file (which
-    /// the RUU→register-file bus does not touch).
+    /// Broadcast on the result bus. The latest instance of a register also
+    /// updates the A future file (in order; the RUU→register-file bus
+    /// does not touch it) or the register file itself (at completion).
     fn broadcast_result(&mut self, tag: Tag, value: u64) {
         self.gate_all(tag, value);
-        if tag.reg.is_a() && tag.instance == (self.li[tag.reg.index()] & self.tag_mask()) {
-            self.ff[tag.reg.num() as usize] = FfEntry { value, valid: true };
+        let r = tag.reg;
+        if tag.instance != self.li[r.index()] & self.tag_mask {
+            return;
+        }
+        match self.retire {
+            Retire::InOrder { .. } => {
+                if r.is_a() {
+                    self.ff[r.num() as usize] = FfEntry { value, valid: true };
+                }
+            }
+            Retire::AtCompletion(_) => {
+                self.arch.set_reg(r, value);
+                self.ni[r.index()] = 0;
+            }
         }
     }
 
@@ -407,6 +582,27 @@ impl<'a> Core<'a> {
         e.mem_phase = MemPhase::Forwarding;
         self.forward_queue.push(seq);
         self.stats.forwarded_loads += 1;
+    }
+
+    /// At completion, a finished entry leaves the window at once.
+    fn leave_at_completion(&mut self, i: usize) {
+        self.window.remove(i);
+        self.completed += 1;
+    }
+
+    /// A store updates memory and frees its load register.
+    fn write_store(&mut self, seq: u64, ea: Option<u64>, data: u64) {
+        self.mem
+            .write(ea.expect("executed store has an address"), data);
+        self.lr.retire(seq);
+    }
+
+    fn check_probe(&mut self, seq: u64) {
+        if self.probe == Some(seq) && self.probe_result.is_none() {
+            let mut state = self.arch.clone();
+            state.pc = self.pc;
+            self.probe_result = Some((state, self.mem.clone()));
+        }
     }
 
     // ---- phase 1: completions --------------------------------------
@@ -429,6 +625,9 @@ impl<'a> Core<'a> {
                     if is_load {
                         e.mem_phase = MemPhase::Done;
                     }
+                    if self.at_completion() {
+                        self.leave_at_completion(i);
+                    }
                     if let Some(tag) = dst_tag {
                         let v = value.expect("finished producer has a result");
                         self.broadcast_result(tag, v);
@@ -442,16 +641,22 @@ impl<'a> Core<'a> {
                         }
                         self.lr.retire(seq);
                     }
+                    self.check_probe(seq);
                 }
                 Event::StoreExec(seq) => {
                     self.obs.complete(self.cycle, seq);
                     let i = self.pos(seq);
                     let e = &mut self.window[i];
                     e.executed = true;
-                    let data = e.ops[1].value();
+                    let (ea, data) = (e.ea, e.ops[1].value());
                     for w in self.lr.provider_ready(seq, data) {
                         self.wake_forwarded_load(w, data);
                     }
+                    if self.at_completion() {
+                        self.leave_at_completion(i);
+                        self.write_store(seq, ea, data);
+                    }
+                    self.check_probe(seq);
                 }
             }
         }
@@ -507,6 +712,12 @@ impl<'a> Core<'a> {
         let mut remaining = Vec::new();
         for seq in std::mem::take(&mut self.forward_queue) {
             if self.bus.try_reserve(self.cycle + lat) {
+                if self.at_completion() {
+                    // Booking the bus is the load's dispatch: its station
+                    // frees. In order nothing counts stations.
+                    let i = self.pos(seq);
+                    self.window[i].dispatched = true;
+                }
                 self.obs
                     .dispatch(self.cycle, seq, FuClass::Memory, self.cycle + lat);
                 self.schedule(self.cycle + lat, Event::Finish(seq));
@@ -519,6 +730,20 @@ impl<'a> Core<'a> {
 
     // ---- phase 4: dispatch to the functional units --------------------
 
+    /// In order, a store writes memory at commit, which keeps memory
+    /// updates in program order. At completion it writes when it
+    /// executes, so it may do so only when every older memory operation
+    /// that will *read architectural memory* has sampled it (dispatched),
+    /// and every older store has already written. Without the first
+    /// condition a younger store could clobber the word an older,
+    /// bus-stalled load is about to read (WAR through memory).
+    fn store_may_exec(&self, seq: u64) -> bool {
+        !self.at_completion()
+            || !self.window.iter().take_while(|e| e.seq < seq).any(|e| {
+                !e.dispatched && matches!(e.mem_phase, MemPhase::ToMemory | MemPhase::StorePending)
+            })
+    }
+
     fn dispatchable(&self) -> Vec<(bool, u64)> {
         let mut out = Vec::new();
         for e in &self.window {
@@ -528,7 +753,9 @@ impl<'a> Core<'a> {
             let ready = e.ops[0].is_ready() && e.ops[1].is_ready();
             match e.mem_phase {
                 MemPhase::ToMemory => out.push((true, e.seq)),
-                MemPhase::StorePending if ready => out.push((true, e.seq)),
+                MemPhase::StorePending if ready && self.store_may_exec(e.seq) => {
+                    out.push((true, e.seq));
+                }
                 MemPhase::NotMem if e.inst.fu_class().is_some() && ready => {
                     out.push((false, e.seq));
                 }
@@ -542,7 +769,14 @@ impl<'a> Core<'a> {
     }
 
     fn phase_dispatch(&mut self) {
-        let mut paths = self.cfg.dispatch_paths;
+        // Distributed stations have a private path to their own unit; a
+        // shared window shares `dispatch_paths` ports.
+        let mut paths = match self.retire {
+            Retire::AtCompletion(
+                WindowKind::Distributed { .. } | WindowKind::TagUnitDistributed { .. },
+            ) => u32::MAX,
+            _ => self.cfg.dispatch_paths,
+        };
         for (_, seq) in self.dispatchable() {
             if paths == 0 {
                 break;
@@ -612,8 +846,12 @@ impl<'a> Core<'a> {
 
     /// Commit stops at the oldest unresolved branch: a speculative
     /// instruction may execute but never update architectural state. A
-    /// fault on the head instruction is taken here, so it is precise.
+    /// fault on the head instruction is taken here, so it is precise. At
+    /// completion there is no commit stage: entries have already left.
     fn phase_commit(&mut self) -> Option<InterruptFrame> {
+        if self.at_completion() {
+            return None;
+        }
         let boundary = self.branches.front().map_or(u64::MAX, |b| b.seq);
         for _ in 0..self.cfg.commit_width {
             let Some(head) = self.window.front() else {
@@ -638,9 +876,7 @@ impl<'a> Core<'a> {
             let e = self.window.pop_front().expect("head exists");
             self.obs.commit(self.cycle, e.seq);
             if e.inst.is_store() {
-                let ea = e.ea.expect("executed store has an address");
-                self.mem.write(ea, e.ops[1].value());
-                self.lr.retire(e.seq);
+                self.write_store(e.seq, e.ea, e.ops[1].value());
             }
             if let Some(tag) = e.dst_tag {
                 let v = e.result.expect("executed producer has a result");
@@ -762,23 +998,58 @@ impl<'a> Core<'a> {
         }
         let tag = Tag {
             reg: r,
-            instance: self.li[r.index()] & self.tag_mask(),
+            instance: self.li[r.index()] & self.tag_mask,
         };
         if let Some(v) = self.broadcasts.lookup(tag) {
             return Operand::Ready(v);
         }
-        match self.bypass {
-            Bypass::Full => self
+        match self.retire {
+            Retire::InOrder {
+                bypass: Bypass::Full,
+                ..
+            } => self
                 .window
                 .iter()
                 .find(|e| e.dst_tag == Some(tag) && e.executed)
                 .map_or(Operand::Waiting(tag), |e| {
                     Operand::Ready(e.result.expect("executed producer has a result"))
                 }),
-            Bypass::LimitedA if r.is_a() && self.ff[r.num() as usize].valid => {
+            Retire::InOrder {
+                bypass: Bypass::LimitedA,
+                ..
+            } if r.is_a() && self.ff[r.num() as usize].valid => {
                 Operand::Ready(self.ff[r.num() as usize].value)
             }
-            Bypass::None | Bypass::LimitedA => Operand::Waiting(tag),
+            _ => Operand::Waiting(tag),
+        }
+    }
+
+    /// Whether the window can take `inst`: a free entry in order; at
+    /// completion, a free tag and a free station of the right kind (a
+    /// Nop needs a tag slot but takes no station).
+    fn has_room(&self, inst: &Inst) -> bool {
+        let kind = match self.retire {
+            Retire::InOrder { entries, .. } => return self.window.len() < entries,
+            Retire::AtCompletion(kind) => kind,
+        };
+        if kind.tags().is_some_and(|tags| self.window.len() >= tags) {
+            return false;
+        }
+        let Some(fu) = inst.fu_class() else {
+            return true;
+        };
+        // Stations free at dispatch; the RSTU's entries are its tags.
+        let stations = |unit: Option<FuClass>| {
+            self.window
+                .iter()
+                .filter(|e| !e.dispatched && unit.is_none_or(|u| e.inst.fu_class() == Some(u)))
+                .count()
+        };
+        match kind {
+            WindowKind::Distributed { rs_per_fu }
+            | WindowKind::TagUnitDistributed { rs_per_fu, .. } => stations(Some(fu)) < rs_per_fu,
+            WindowKind::Pooled { rs, .. } => stations(None) < rs,
+            WindowKind::Merged { .. } => true,
         }
     }
 
@@ -827,13 +1098,14 @@ impl<'a> Core<'a> {
             self.issue_branch(inst);
             return Ok(());
         }
-        if self.window.len() >= self.capacity {
+        if !self.has_room(&inst) {
             self.stall(StallReason::WindowFull);
             return Ok(());
         }
-        if inst
-            .dst
-            .is_some_and(|d| self.ni[d.index()] >= self.cfg.max_instances())
+        if !self.at_completion()
+            && inst
+                .dst
+                .is_some_and(|d| self.ni[d.index()] >= self.cfg.max_instances())
         {
             self.stall(StallReason::RegInstanceLimit);
             return Ok(());
@@ -859,30 +1131,35 @@ impl<'a> Core<'a> {
             }
             Tag {
                 reg: d,
-                instance: self.li[d.index()] & self.tag_mask(),
+                instance: self.li[d.index()] & self.tag_mask,
             }
         });
         let seq = self.seq;
         let is_mem = inst.is_mem();
         let no_fu = inst.fu_class().is_none(); // Nop
-        self.window.push_back(Entry {
-            seq,
-            index: seq - self.squashed,
-            pc: self.pc,
-            inst,
-            dst_tag,
-            ops,
-            dispatched: no_fu,
-            executed: no_fu,
-            result: None,
-            ea: None,
-            mem_phase: if is_mem {
-                MemPhase::AwaitingLr
-            } else {
-                MemPhase::NotMem
-            },
-            lr_provider: false,
-        });
+        if no_fu && self.at_completion() {
+            // Nothing to complete: a Nop never takes an entry.
+            self.completed += 1;
+        } else {
+            self.window.push_back(Entry {
+                seq,
+                index: seq - self.squashed,
+                pc: self.pc,
+                inst,
+                dst_tag,
+                ops,
+                dispatched: no_fu,
+                executed: no_fu,
+                result: None,
+                ea: None,
+                mem_phase: if is_mem {
+                    MemPhase::AwaitingLr
+                } else {
+                    MemPhase::NotMem
+                },
+                lr_provider: false,
+            });
+        }
         if is_mem {
             self.mem_queue.push_back(seq);
         }
@@ -1389,7 +1666,13 @@ mod tests {
             let r = sim
                 .run_observed(ArchState::new(), mem.clone(), &p, 10_000, &mut obs)
                 .unwrap();
-            let speculating = sim.predictor.is_some();
+            let speculating = matches!(
+                sim.retire,
+                Retire::InOrder {
+                    predictor: Some(_),
+                    ..
+                }
+            );
             assert_eq!(speculating, r.stats.nullified > 0);
             // Every instruction issues once; window entries that commit
             // were dispatched and completed exactly once, in program
@@ -1577,5 +1860,222 @@ mod tests {
             .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap();
         w.verify(&r.memory).unwrap();
+    }
+
+    fn all_kinds() -> Vec<WindowKind> {
+        vec![
+            WindowKind::Distributed { rs_per_fu: 3 },
+            WindowKind::TagUnitDistributed {
+                rs_per_fu: 3,
+                tags: 12,
+            },
+            WindowKind::Pooled { rs: 8, tags: 12 },
+            WindowKind::Merged { entries: 10 },
+        ]
+    }
+
+    fn loop_prog() -> Asm {
+        let mut a = Asm::new("t");
+        let top = a.new_label();
+        a.a_imm(Reg::a(0), 12);
+        a.a_imm(Reg::a(1), 200);
+        a.s_imm(Reg::s(1), 3);
+        a.bind(top);
+        a.ld_s(Reg::s(2), Reg::a(1), 0);
+        a.f_add(Reg::s(3), Reg::s(2), Reg::s(1));
+        a.st_s(Reg::s(3), Reg::a(1), 0);
+        a.st_s(Reg::s(3), Reg::a(1), 32);
+        a.ld_s(Reg::s(4), Reg::a(1), 32);
+        a.s_add(Reg::s(5), Reg::s(4), Reg::s(4));
+        a.a_add_imm(Reg::a(1), Reg::a(1), 1);
+        a.a_sub_imm(Reg::a(0), Reg::a(0), 1);
+        a.br_an(top);
+        a.halt();
+        a
+    }
+
+    #[test]
+    fn all_kinds_match_golden() {
+        let p = loop_prog().assemble().unwrap();
+        let g = Trace::capture(&p, Memory::new(1 << 12), 1_000_000).unwrap();
+        for kind in all_kinds() {
+            let r = Ruu::tagged(cfg(), kind)
+                .run(&p, Memory::new(1 << 12), 1_000_000)
+                .unwrap();
+            assert_eq!(r.instructions, g.len() as u64, "{kind:?}");
+            assert_eq!(&r.state, g.final_state(), "{kind:?}");
+            assert_eq!(&r.memory, g.final_memory(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn rstu_beats_simple_issue_on_ilp() {
+        let p = loop_prog().assemble().unwrap();
+        let simple = InOrder::new(cfg())
+            .run(&p, Memory::new(1 << 12), 1_000_000)
+            .unwrap();
+        let rstu = Ruu::tagged(cfg(), WindowKind::Merged { entries: 20 })
+            .run(&p, Memory::new(1 << 12), 1_000_000)
+            .unwrap();
+        assert!(rstu.cycles < simple.cycles);
+    }
+
+    #[test]
+    fn waw_same_register_resolves_to_latest() {
+        // Long-latency write followed by a fast write to the same
+        // register: the fast one is younger and must win the final state.
+        let mut a = Asm::new("t");
+        a.f_recip(Reg::s(1), Reg::s(0)); // slow producer of S1 (inf)
+        a.s_imm(Reg::s(1), 42); // fast, younger
+        a.halt();
+        let p = a.assemble().unwrap();
+        for kind in all_kinds() {
+            let r = Ruu::tagged(cfg(), kind)
+                .run(&p, Memory::new(1 << 12), 1_000_000)
+                .unwrap();
+            assert_eq!(r.state.reg(Reg::s(1)), 42, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn stores_to_one_address_write_in_order() {
+        // An older store whose data arrives late must not clobber a
+        // younger store's value.
+        let mut a = Asm::new("t");
+        a.a_imm(Reg::a(1), 64);
+        a.f_recip(Reg::s(1), Reg::s(0)); // S1 ready late
+        a.st_s(Reg::s(1), Reg::a(1), 0); // older store, late data
+        a.s_imm(Reg::s(2), 9);
+        a.st_s(Reg::s(2), Reg::a(1), 0); // younger store, early data
+        a.halt();
+        let p = a.assemble().unwrap();
+        let g = Trace::capture(&p, Memory::new(1 << 12), 1_000_000).unwrap();
+        for kind in all_kinds() {
+            let r = Ruu::tagged(cfg(), kind)
+                .run(&p, Memory::new(1 << 12), 1_000_000)
+                .unwrap();
+            assert_eq!(r.memory.read(64), g.final_memory().read(64), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn rstu_small_window_stalls() {
+        let p = loop_prog().assemble().unwrap();
+        let r = Ruu::tagged(cfg(), WindowKind::Merged { entries: 3 })
+            .run(&p, Memory::new(1 << 12), 1_000_000)
+            .unwrap();
+        assert!(r.stats.stalls(StallReason::WindowFull) > 0);
+    }
+
+    #[test]
+    fn two_dispatch_paths_help_a_little() {
+        let p = loop_prog().assemble().unwrap();
+        let one = Ruu::tagged(cfg(), WindowKind::Merged { entries: 10 })
+            .run(&p, Memory::new(1 << 12), 1_000_000)
+            .unwrap();
+        let two = Ruu::tagged(
+            cfg().with_dispatch_paths(2),
+            WindowKind::Merged { entries: 10 },
+        )
+        .run(&p, Memory::new(1 << 12), 1_000_000)
+        .unwrap();
+        assert!(two.cycles <= one.cycles);
+    }
+
+    #[test]
+    fn imprecision_snapshot_differs_from_every_program_order_boundary() {
+        // A long-latency op followed by a fast store: when the fast store
+        // has executed, the long op has not — no program-order boundary
+        // matches the machine state (store done, earlier reg write not).
+        let mut a = Asm::new("t");
+        a.a_imm(Reg::a(1), 80);
+        a.f_recip(Reg::s(1), Reg::s(0)); // seq 1: slow
+        a.s_imm(Reg::s(2), 5); // seq 2
+        a.st_s(Reg::s(2), Reg::a(1), 0); // seq 3: fast store
+        a.halt();
+        let p = a.assemble().unwrap();
+        let snap = Ruu::tagged(cfg(), WindowKind::Merged { entries: 8 })
+            .snapshot_at_execute(&p, Memory::new(1 << 12), 1_000_000, 3)
+            .unwrap()
+            .expect("store executes");
+        let (state, mem) = snap;
+        // Store done...
+        assert_eq!(mem.read(80), 5);
+        // ...but the older recip has not updated S1 yet.
+        let (g2, _) = ruu_exec::golden_state_at(&p, Memory::new(1 << 12), 4).unwrap();
+        assert_ne!(state.regs, g2.regs, "imprecise: S1 missing");
+    }
+
+    #[test]
+    fn distributed_blocks_on_per_fu_stations() {
+        // Three dependent float-adds fill a 1-deep FloatAdd RS while an
+        // independent AddrAdd can still issue.
+        let mut a = Asm::new("t");
+        a.f_recip(Reg::s(1), Reg::s(0));
+        a.f_add(Reg::s(2), Reg::s(1), Reg::s(1));
+        a.f_add(Reg::s(3), Reg::s(2), Reg::s(2));
+        a.a_imm(Reg::a(1), 7);
+        a.halt();
+        let p = a.assemble().unwrap();
+        let r = Ruu::tagged(cfg(), WindowKind::Distributed { rs_per_fu: 1 })
+            .run(&p, Memory::new(1 << 12), 1_000_000)
+            .unwrap();
+        assert!(r.stats.stalls(StallReason::WindowFull) > 0);
+        assert_eq!(r.state.reg(Reg::a(1)), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_rs_per_fu_tomasulo_is_rejected() {
+        let _ = Ruu::tagged(cfg(), WindowKind::Distributed { rs_per_fu: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_rs_per_fu_tag_unit_is_rejected() {
+        let _ = Ruu::tagged(
+            cfg(),
+            WindowKind::TagUnitDistributed {
+                rs_per_fu: 0,
+                tags: 8,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_tags_tag_unit_is_rejected() {
+        let _ = Ruu::tagged(
+            cfg(),
+            WindowKind::TagUnitDistributed {
+                rs_per_fu: 2,
+                tags: 0,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_rs_pool_is_rejected() {
+        let _ = Ruu::tagged(cfg(), WindowKind::Pooled { rs: 0, tags: 8 });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_tags_pool_is_rejected() {
+        let _ = Ruu::tagged(cfg(), WindowKind::Pooled { rs: 8, tags: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn zero_entry_rstu_is_rejected() {
+        let _ = Ruu::tagged(cfg(), WindowKind::Merged { entries: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "in-order commit")]
+    fn tagged_machines_do_not_speculate() {
+        let _ = Ruu::tagged(cfg(), WindowKind::Merged { entries: 8 })
+            .with_predictor(PredictorConfig::default());
     }
 }

@@ -52,7 +52,7 @@ pub trait IssueSimulator: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bypass, InOrder, Mechanism, PreciseScheme, Ruu, TaggedSim, WindowKind};
+    use crate::{Bypass, InOrder, Mechanism, PreciseScheme, Ruu, WindowKind};
     use ruu_isa::{Asm, Reg};
     use ruu_predict::PredictorConfig;
     use ruu_sim_core::MachineConfig;
@@ -68,10 +68,7 @@ mod tests {
     fn one_of_each(cfg: &MachineConfig) -> Vec<Box<dyn IssueSimulator>> {
         vec![
             Box::new(InOrder::new(cfg.clone())),
-            Box::new(TaggedSim::new(
-                cfg.clone(),
-                WindowKind::Merged { entries: 8 },
-            )),
+            Box::new(Ruu::tagged(cfg.clone(), WindowKind::Merged { entries: 8 })),
             Box::new(Ruu::new(cfg.clone(), 8, Bypass::Full)),
             Box::new(InOrder::new(cfg.clone()).with_scheme(PreciseScheme::FutureFile, 8)),
             Box::new(

@@ -6,12 +6,12 @@
 //! younger instruction has updated architectural state while an older one
 //! has not (paper §1, §4). The RSTU — the paper's best performer before
 //! the RUU — fails exactly this way, which is the entire motivation for
-//! constraining it into the RUU.
+//! constraining it into the RUU. The same probe on the RUU sees its
+//! committed prefix, a program-order boundary.
 
 use ruu_exec::{golden_state_at, ArchState, Memory};
 use ruu_isa::{Asm, Program, Reg};
-use ruu_issue::{SimError, TaggedSim, WindowKind};
-use ruu_sim_core::MachineConfig;
+use ruu_issue::{Ruu, SimError};
 
 /// Evidence that a mechanism reached a state matching no program-order
 /// boundary.
@@ -51,18 +51,15 @@ pub fn witness_program() -> (Program, Memory, u64) {
     )
 }
 
-/// Runs `kind` on the witness program, snapshots the machine state at the
+/// Runs `sim` on the witness program, snapshots the machine state at the
 /// moment the probe store executes, and compares it against every
 /// program-order boundary.
 ///
 /// # Errors
 /// Propagates simulator errors.
-pub fn demonstrate(
-    config: &MachineConfig,
-    kind: WindowKind,
-) -> Result<ImprecisionEvidence, SimError> {
+pub fn demonstrate(sim: &Ruu) -> Result<ImprecisionEvidence, SimError> {
     let (program, mem, probe_seq) = witness_program();
-    let snap = TaggedSim::new(config.clone(), kind)
+    let snap = sim
         .snapshot_at_execute(&program, mem.clone(), 100_000, probe_seq)?
         .expect("the probe store executes");
     let (state, memory) = snap;
@@ -85,30 +82,28 @@ fn states_equal(s: &ArchState, m: &Memory, gs: &ArchState, gm: &Memory) -> bool 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruu_issue::WindowKind;
+    use ruu_sim_core::MachineConfig;
+
+    fn tagged(kind: WindowKind) -> Ruu {
+        Ruu::tagged(MachineConfig::paper(), kind)
+    }
 
     #[test]
     fn rstu_is_imprecise() {
-        let e = demonstrate(&MachineConfig::paper(), WindowKind::Merged { entries: 8 }).unwrap();
+        let e = demonstrate(&tagged(WindowKind::Merged { entries: 8 })).unwrap();
         assert!(e.is_imprecise(), "matches: {:?}", e.boundary_matches);
     }
 
     #[test]
     fn tomasulo_is_imprecise() {
-        let e = demonstrate(
-            &MachineConfig::paper(),
-            WindowKind::Distributed { rs_per_fu: 3 },
-        )
-        .unwrap();
+        let e = demonstrate(&tagged(WindowKind::Distributed { rs_per_fu: 3 })).unwrap();
         assert!(e.is_imprecise());
     }
 
     #[test]
     fn rs_pool_is_imprecise() {
-        let e = demonstrate(
-            &MachineConfig::paper(),
-            WindowKind::Pooled { rs: 6, tags: 8 },
-        )
-        .unwrap();
+        let e = demonstrate(&tagged(WindowKind::Pooled { rs: 6, tags: 8 })).unwrap();
         assert!(e.is_imprecise());
     }
 }

@@ -7,7 +7,7 @@
 //! cargo run --release --example precise_interrupts
 //! ```
 
-use ruu::issue::{Bypass, WindowKind};
+use ruu::issue::{Bypass, Ruu, WindowKind};
 use ruu::precise::{fault_points, imprecision, FaultKind, PrecisionCheck};
 use ruu::sim::MachineConfig;
 use ruu::workloads::livermore;
@@ -48,7 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!();
     println!("The same machine *without* the in-order commit constraint (the RSTU):");
-    let e = imprecision::demonstrate(&MachineConfig::paper(), WindowKind::Merged { entries: 8 })?;
+    let rstu = Ruu::tagged(MachineConfig::paper(), WindowKind::Merged { entries: 8 });
+    let e = imprecision::demonstrate(&rstu)?;
     println!(
         "  at the moment a young store executed, the machine state matched a \
          program-order boundary: {}",

@@ -126,6 +126,13 @@ fn interrupts_are_precise_under_speculation() {
 #[test]
 fn every_imprecise_mechanism_is_caught() {
     let cfg = MachineConfig::paper();
+    // The control: the same probe on the RUU sees its committed prefix.
+    let e = imprecision::demonstrate(&Ruu::new(cfg.clone(), 8, Bypass::Full)).unwrap();
+    assert!(
+        !e.is_imprecise(),
+        "the RUU must match a program-order boundary: {:?}",
+        e.boundary_matches
+    );
     for kind in [
         WindowKind::Distributed { rs_per_fu: 3 },
         WindowKind::TagUnitDistributed {
@@ -135,7 +142,7 @@ fn every_imprecise_mechanism_is_caught() {
         WindowKind::Pooled { rs: 6, tags: 10 },
         WindowKind::Merged { entries: 8 },
     ] {
-        let e = imprecision::demonstrate(&cfg, kind).unwrap();
+        let e = imprecision::demonstrate(&Ruu::tagged(cfg.clone(), kind)).unwrap();
         assert!(e.is_imprecise(), "{kind:?} should be imprecise");
     }
 }

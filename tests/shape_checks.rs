@@ -12,17 +12,17 @@
 
 use ruu::issue::{Bypass, Mechanism};
 use ruu::sim::MachineConfig;
-use ruu_bench::{harness, sweep};
+use ruu_bench::{harness, try_sweep};
 
 const SIZES: [usize; 5] = [3, 6, 10, 30, 50];
 
 fn rstu(cfg: &MachineConfig, paths: u32) -> Vec<harness::SweepPoint> {
     let cfg = cfg.clone().with_dispatch_paths(paths);
-    sweep(&cfg, &SIZES, |entries| Mechanism::Rstu { entries })
+    try_sweep(&cfg, &SIZES, |entries| Mechanism::Rstu { entries }).expect("RSTU sweep")
 }
 
 fn ruu(cfg: &MachineConfig, bypass: Bypass) -> Vec<harness::SweepPoint> {
-    sweep(cfg, &SIZES, |entries| Mechanism::Ruu { entries, bypass })
+    try_sweep(cfg, &SIZES, |entries| Mechanism::Ruu { entries, bypass }).expect("RUU sweep")
 }
 
 #[test]
@@ -159,7 +159,7 @@ fn baseline_issue_rate_is_dependency_bound() {
     // dependencies (theirs: 0.438; ours is lower because the hand-coded
     // kernels are leaner — see EXPERIMENTS.md).
     let cfg = MachineConfig::paper();
-    let rows = harness::baseline_rows(&cfg);
+    let rows = harness::try_baseline_rows(&cfg).expect("baseline");
     let total = rows.last().unwrap();
     let rate = total.issue_rate();
     assert!(
