@@ -1,10 +1,11 @@
 //! The full §3 design walk: Tomasulo → Tag Unit + distributed RS →
 //! merged RS pool → RSTU → RUU, at matched hardware budgets. This is the
-//! paper's §3 narrative as one table.
+//! paper's §3 narrative as one table, run as one engine grid.
 //!
 //! Run with `cargo bench -p ruu-bench --bench mechanism_spectrum`.
 
 use ruu_bench::{harness, report};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
@@ -50,17 +51,17 @@ fn main() {
             },
         ),
     ];
-    let mut rows = Vec::new();
-    for (label, m) in mechanisms {
-        let pts = harness::try_sweep(&cfg, &[15], |_| m).expect("sweep");
-        rows.push((label.to_string(), pts[0].speedup, pts[0].issue_rate));
-    }
+    let jobs: Vec<Job> = mechanisms
+        .into_iter()
+        .map(|(label, m)| Job::new(m, cfg.clone()).with_label(label))
+        .collect();
+    let grid = harness::run(&jobs);
     print!(
         "{}",
         report::format_plain_sweep(
             "The §3→§5 design spectrum on the Livermore suite",
             "mechanism",
-            &rows
+            &grid.jobs
         )
     );
 }

@@ -4,13 +4,15 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench per_loop`.
 
+use ruu_bench::harness;
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
-use ruu_workloads::livermore;
 
 fn main() {
     let cfg = MachineConfig::paper();
     let mechanisms = [
+        ("simple", Mechanism::Simple),
         ("RSTU(15)", Mechanism::Rstu { entries: 15 }),
         (
             "RUU(15)",
@@ -34,30 +36,33 @@ fn main() {
             },
         ),
     ];
+    let jobs: Vec<Job> = mechanisms
+        .iter()
+        .map(|&(label, m)| Job::new(m, cfg.clone()).with_label(label))
+        .collect();
+    let grid = harness::run(&jobs);
+    let (base, others) = grid.jobs.split_first().expect("the baseline job ran");
 
     println!("### Per-loop speedups over the simple baseline (window = 15)");
     print!("| loop | base IPC |");
-    for (n, _) in &mechanisms {
-        print!(" {n} |");
+    for j in others {
+        print!(" {} |", j.label);
     }
     println!();
     print!("|---|---:|");
-    for _ in &mechanisms {
+    for _ in others {
         print!("---:|");
     }
     println!();
 
-    for w in livermore::all() {
-        let base = Mechanism::Simple
-            .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
-            .expect("baseline runs");
-        print!("| {} | {:.3} |", w.name, base.issue_rate());
-        for (_, m) in &mechanisms {
-            let r = m
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
-                .expect("mechanism runs");
-            w.verify(&r.memory).expect("results verify");
-            print!(" {:.2} |", base.cycles as f64 / r.cycles as f64);
+    for (i, b) in base.workloads.iter().enumerate() {
+        print!(
+            "| {} | {:.3} |",
+            b.name,
+            b.instructions as f64 / b.cycles as f64
+        );
+        for j in others {
+            print!(" {:.2} |", b.cycles as f64 / j.workloads[i].cycles as f64);
         }
         println!();
     }

@@ -5,24 +5,31 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench precision_cost`.
 
-use ruu_bench::try_sweep;
+use ruu_bench::harness;
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::paper();
     let sizes = [4usize, 8, 10, 15, 20, 30];
-    let rstu = try_sweep(&cfg, &sizes, |entries| Mechanism::Rstu { entries }).expect("RSTU sweep");
-    let ruu = try_sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::Full,
-    })
-    .expect("RUU sweep");
-    let ruu_none = try_sweep(&cfg, &sizes, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::None,
-    })
-    .expect("RUU sweep");
+    let machines: [fn(usize) -> Mechanism; 3] = [
+        |entries| Mechanism::Rstu { entries },
+        |entries| Mechanism::Ruu {
+            entries,
+            bypass: Bypass::Full,
+        },
+        |entries| Mechanism::Ruu {
+            entries,
+            bypass: Bypass::None,
+        },
+    ];
+    let jobs: Vec<Job> = machines
+        .iter()
+        .flat_map(|make| sizes.iter().map(|&e| Job::new(make(e), cfg.clone())))
+        .collect();
+    let grid = harness::run(&jobs);
+    let [rstu, ruu, ruu_none] = [0, 1, 2].map(|m| &grid.jobs[m * sizes.len()..][..sizes.len()]);
 
     println!("### Extension A6 — the cost of precise interrupts");
     println!("| entries | RSTU speedup | RUU (bypass) | precision cost | RUU (no bypass) |");

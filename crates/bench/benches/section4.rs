@@ -10,6 +10,7 @@
 //! Run with `cargo bench -p ruu-bench --bench section4`.
 
 use ruu_bench::{harness, report};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism, PreciseScheme};
 use ruu_sim_core::MachineConfig;
 
@@ -54,17 +55,17 @@ fn main() {
             },
         ),
     ];
-    let mut out = Vec::new();
-    for (label, m) in rows {
-        let pts = harness::try_sweep(&cfg, &[entries], |_| m).expect("sweep");
-        out.push((label, pts[0].speedup, pts[0].issue_rate));
-    }
+    let jobs: Vec<Job> = rows
+        .into_iter()
+        .map(|(label, m)| Job::new(m, cfg.clone()).with_label(label))
+        .collect();
+    let grid = harness::run(&jobs);
     print!(
         "{}",
         report::format_plain_sweep(
             "Extension A7 — §4 precise-interrupt schemes vs. the RUU",
             "machine",
-            &out
+            &grid.jobs
         )
     );
     println!();

@@ -5,84 +5,58 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench speculation`.
 
+use ruu_bench::harness;
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_predict::PredictorConfig;
 use ruu_sim_core::MachineConfig;
-use ruu_workloads::livermore;
 
 fn main() {
     let cfg = MachineConfig::paper();
-    let suite = livermore::all();
-    let baseline = {
-        let mut c = 0;
-        for w in &suite {
-            c += Mechanism::Simple
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
-                .expect("baseline runs")
-                .cycles;
+    let predictors = [
+        PredictorConfig::AlwaysTaken,
+        PredictorConfig::Btfn,
+        PredictorConfig::default(),
+    ];
+    let mut jobs = Vec::new();
+    for entries in [10usize, 20, 30] {
+        // Blocking (paper) RUU reference point, then each predictor.
+        let blocking = Mechanism::Ruu {
+            entries,
+            bypass: Bypass::Full,
+        };
+        jobs.push(Job::new(blocking, cfg.clone()).with_label("blocking RUU"));
+        for predictor in predictors {
+            let spec = Mechanism::SpecRuu {
+                entries,
+                bypass: Bypass::Full,
+                predictor,
+            };
+            jobs.push(Job::new(spec, cfg.clone()).with_label(format!("spec RUU ({predictor})")));
         }
-        c
-    };
+    }
+    let grid = harness::run(&jobs);
 
     println!("### Extension A5 — speculative (conditional-mode) execution in the RUU");
     println!("| RUU entries | machine | speedup | issue rate | mispredict % | nullified |");
     println!("|---:|---|---:|---:|---:|---:|");
-    for entries in [10usize, 20, 30] {
-        // Blocking (paper) RUU reference point.
-        let mut cycles = 0;
-        let mut insts = 0;
-        for w in &suite {
-            let r = Mechanism::Ruu {
-                entries,
-                bypass: Bypass::Full,
-            }
-            .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
-            .expect("RUU runs");
-            cycles += r.cycles;
-            insts += r.instructions;
-        }
-        println!(
-            "| {entries} | blocking RUU | {:.3} | {:.3} | — | — |",
-            baseline as f64 / cycles as f64,
-            insts as f64 / cycles as f64
+    for j in &grid.jobs {
+        let entries = j.entries.expect("every RUU has a window");
+        let branch = j.branch.map_or_else(
+            || "— | —".to_string(),
+            |b| {
+                let mp = if b.predicts == 0 {
+                    0.0
+                } else {
+                    100.0 * b.mispredicts as f64 / b.predicts as f64
+                };
+                format!("{mp:.1} | {}", b.nullified)
+            },
         );
-
-        for predictor in [
-            PredictorConfig::AlwaysTaken,
-            PredictorConfig::Btfn,
-            PredictorConfig::default(),
-        ] {
-            let mut cycles = 0;
-            let mut insts = 0;
-            let mut predicted = 0;
-            let mut mispredicted = 0;
-            let mut nullified = 0;
-            for w in &suite {
-                let r = Mechanism::SpecRuu {
-                    entries,
-                    bypass: Bypass::Full,
-                    predictor,
-                }
-                .run(&cfg, &w.program, w.memory.clone(), w.inst_limit)
-                .expect("speculative RUU runs");
-                w.verify(&r.memory).expect("speculative result verifies");
-                cycles += r.cycles;
-                insts += r.instructions;
-                predicted += r.stats.predicted_branches;
-                mispredicted += r.stats.mispredicted_branches;
-                nullified += r.stats.nullified;
-            }
-            let mp = if predicted == 0 {
-                0.0
-            } else {
-                100.0 * mispredicted as f64 / predicted as f64
-            };
-            println!(
-                "| {entries} | spec RUU ({predictor}) | {:.3} | {:.3} | {mp:.1} | {nullified} |",
-                baseline as f64 / cycles as f64,
-                insts as f64 / cycles as f64
-            );
-        }
+        println!(
+            "| {entries} | {} | {:.3} | {:.3} | {branch} |",
+            j.label, j.speedup, j.issue_rate
+        );
     }
     println!();
     println!(

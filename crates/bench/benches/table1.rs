@@ -3,24 +3,23 @@
 //!
 //! Run with `cargo bench -p ruu-bench --bench table1`.
 
-use ruu_bench::{
-    report, try_baseline_rows, try_cache_ablation, try_predictor_ablation, try_stall_breakdown,
-};
+use ruu_bench::{harness, report, try_cache_ablation, try_predictor_ablation};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_predict::PredictorConfig;
 use ruu_sim_core::{DCacheConfig, MachineConfig};
 
 fn main() {
     let cfg = MachineConfig::paper();
-    let rows = try_baseline_rows(&cfg).expect("baseline");
+    let grid = harness::run(&[Job::new(Mechanism::Simple, cfg.clone())]);
+    let rows = &grid.jobs[0].workloads;
     println!("## Table 1 — statistics for the benchmark programs (simple issue)");
     println!();
-    print!("{}", report::format_table1(&rows));
+    print!("{}", report::format_table1(rows));
     println!();
-    let stalls = try_stall_breakdown(&cfg, Mechanism::Simple).expect("stall breakdown");
     print!(
         "{}",
-        report::format_stall_table("Where the cycles go (simple issue)", &stalls)
+        report::format_stall_table("Where the cycles go (simple issue)", rows)
     );
     println!();
     let ablation = try_predictor_ablation(&cfg, 15).expect("predictor ablation");

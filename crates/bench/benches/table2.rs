@@ -4,26 +4,25 @@
 //! Run with `cargo bench -p ruu-bench --bench table2`.
 
 use ruu_bench::{harness, paper, report};
+use ruu_engine::Job;
 use ruu_issue::Mechanism;
 use ruu_sim_core::MachineConfig;
 
 fn main() {
     let cfg = MachineConfig::paper();
-    let entries: Vec<usize> = paper::TABLE2.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) =
-        harness::try_sweep_report(&cfg, &entries, |entries| Mechanism::Rstu { entries })
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
+    let jobs: Vec<Job> = paper::TABLE2
+        .iter()
+        .map(|&(entries, ..)| Job::new(Mechanism::Rstu { entries }, cfg.clone()))
+        .collect();
+    let grid = harness::run(&jobs);
     print!(
         "{}",
         report::format_sweep(
             "Table 2 — relative speedup and issue rate with a RSTU",
-            &pts,
+            &grid.jobs,
             &paper::TABLE2
         )
     );
     println!();
-    println!("{}", report::format_engine_stats(&stats));
+    println!("{}", report::format_engine_stats(&grid.stats));
 }

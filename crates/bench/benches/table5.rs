@@ -5,24 +5,25 @@
 //! Run with `cargo bench -p ruu-bench --bench table5`.
 
 use ruu_bench::{harness, paper, report};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    let cfg = MachineConfig::paper();
-    let entries: Vec<usize> = paper::TABLE5.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) = harness::try_sweep_report(&cfg, &entries, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::None,
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let (cfg, bypass) = (MachineConfig::paper(), Bypass::None);
+    let jobs: Vec<Job> = paper::TABLE5
+        .iter()
+        .map(|&(entries, ..)| Job::new(Mechanism::Ruu { entries, bypass }, cfg.clone()))
+        .collect();
+    let grid = harness::run(&jobs);
     print!(
         "{}",
-        report::format_sweep("Table 5 — RUU without bypass logic", &pts, &paper::TABLE5)
+        report::format_sweep(
+            "Table 5 — RUU without bypass logic",
+            &grid.jobs,
+            &paper::TABLE5
+        )
     );
     println!();
-    println!("{}", report::format_engine_stats(&stats));
+    println!("{}", report::format_engine_stats(&grid.stats));
 }

@@ -4,28 +4,25 @@
 //! Run with `cargo bench -p ruu-bench --bench table6`.
 
 use ruu_bench::{harness, paper, report};
+use ruu_engine::Job;
 use ruu_issue::{Bypass, Mechanism};
 use ruu_sim_core::MachineConfig;
 
 fn main() {
-    let cfg = MachineConfig::paper();
-    let entries: Vec<usize> = paper::TABLE6.iter().map(|&(e, ..)| e).collect();
-    let (pts, stats) = harness::try_sweep_report(&cfg, &entries, |entries| Mechanism::Ruu {
-        entries,
-        bypass: Bypass::LimitedA,
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let (cfg, bypass) = (MachineConfig::paper(), Bypass::LimitedA);
+    let jobs: Vec<Job> = paper::TABLE6
+        .iter()
+        .map(|&(entries, ..)| Job::new(Mechanism::Ruu { entries, bypass }, cfg.clone()))
+        .collect();
+    let grid = harness::run(&jobs);
     print!(
         "{}",
         report::format_sweep(
             "Table 6 — RUU with limited bypass (A-register future file)",
-            &pts,
+            &grid.jobs,
             &paper::TABLE6
         )
     );
     println!();
-    println!("{}", report::format_engine_stats(&stats));
+    println!("{}", report::format_engine_stats(&grid.stats));
 }

@@ -15,12 +15,16 @@
 //! | `ablation_*`, `speculation`, `precision_cost` | extension experiments |
 //! | `throughput` | host simulation speed (criterion) |
 //!
-//! The library half holds the harness (workload sweeps), the paper's
-//! published numbers ([`paper`]), and table formatting, so integration
-//! tests can assert the *shape* of each reproduced result.
+//! The library half holds the suite runner ([`harness`]: the shared
+//! engine and the predictor/cache ablations), the paper's published
+//! numbers ([`paper`]), and table formatting ([`report`]), so
+//! integration tests can assert the *shape* of each reproduced result.
 //!
-//! Sweeps execute on the shared parallel [`ruu_engine::SweepEngine`]
-//! (see [`harness::engine`]); set `RUU_BENCH_JOBS=1` to force serial
+//! Every target builds a `Vec<ruu_engine::Job>` and runs it as one grid
+//! on the shared parallel [`ruu_engine::SweepEngine`] (see
+//! [`harness::engine`]); the formatters read the resulting
+//! [`ruu_engine::JobResult`]s and their per-workload
+//! [`ruu_engine::WorkloadRow`]s. Set `RUU_BENCH_JOBS=1` to force serial
 //! execution. Results are bit-identical for any worker count.
 
 pub mod harness;
@@ -28,7 +32,6 @@ pub mod paper;
 pub mod report;
 
 pub use harness::{
-    engine, sweep_serial, try_baseline_rows, try_baseline_total_cycles, try_cache_ablation,
-    try_predictor_ablation, try_stall_breakdown, try_sweep, try_sweep_report, BaselineRow,
-    CacheAblationRow, HarnessError, PredictorAblationRow, StallBreakdownRow, SweepPoint,
+    engine, sweep_serial, try_cache_ablation, try_predictor_ablation, CacheAblationRow,
+    PredictorAblationRow,
 };

@@ -1,16 +1,16 @@
 //! Table formatting for the bench targets: measured values printed next
 //! to the paper's published numbers.
 
-use crate::harness::{
-    BaselineRow, CacheAblationRow, PredictorAblationRow, StallBreakdownRow, SweepPoint,
-};
+use crate::harness::{CacheAblationRow, PredictorAblationRow};
 use crate::paper;
+use ruu_engine::{JobResult, WorkloadRow};
 use ruu_sim_core::{StallHistogram, StallReason};
 
-/// Formats a Table-1-style report (per-loop baseline statistics) with the
-/// paper's numbers alongside.
+/// Formats a Table-1-style report (per-loop statistics plus a `Total`
+/// row) with the paper's numbers alongside. A zero-cycle row reports a
+/// rate and a share of the limit of 0.
 #[must_use]
-pub fn format_table1(rows: &[BaselineRow]) -> String {
+pub fn format_table1(rows: &[WorkloadRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(
@@ -21,21 +21,30 @@ pub fn format_table1(rows: &[BaselineRow]) -> String {
         out,
         "|--------|-------------:|--------------:|------------:|------------:|-----------:|--------------:|---------------:|-------------:|"
     );
-    for row in rows {
-        let p = paper::TABLE1.iter().find(|(n, ..)| *n == row.name);
+    let sum = |f: fn(&WorkloadRow) -> u64| rows.iter().map(f).sum::<u64>();
+    let total = (
+        "Total",
+        sum(|r| r.instructions),
+        sum(|r| r.cycles),
+        sum(|r| r.dataflow_bound.bound),
+    );
+    let lines = rows
+        .iter()
+        .map(|r| (r.name, r.instructions, r.cycles, r.dataflow_bound.bound));
+    for (name, insts, cycles, bound) in lines.chain([total]) {
+        let p = paper::TABLE1.iter().find(|(n, ..)| *n == name);
         let (pi, pc, pr) = p.map_or((0, 0, 0.0), |&(_, i, c, r)| (i, c, r));
+        let (rate, pct) = if cycles == 0 {
+            (0.0, 0.0)
+        } else {
+            (
+                insts as f64 / cycles as f64,
+                100.0 * bound as f64 / cycles as f64,
+            )
+        };
         let _ = writeln!(
             out,
-            "| {:<6} | {:>12} | {:>13} | {:>11.3} | {:>11} | {:>9.1}% | {:>13} | {:>14} | {:>12.3} |",
-            row.name,
-            row.instructions,
-            row.cycles,
-            row.issue_rate(),
-            row.dataflow_bound,
-            row.pct_of_limit().unwrap_or(0.0),
-            pi,
-            pc,
-            pr,
+            "| {name:<6} | {insts:>12} | {cycles:>13} | {rate:>11.3} | {bound:>11} | {pct:>9.1}% | {pi:>13} | {pc:>14} | {pr:>12.3} |",
         );
     }
     out
@@ -44,11 +53,7 @@ pub fn format_table1(rows: &[BaselineRow]) -> String {
 /// Formats a sweep table (Tables 2–6 style) with the paper's numbers
 /// alongside.
 #[must_use]
-pub fn format_sweep(
-    title: &str,
-    points: &[SweepPoint],
-    paper_table: &[(usize, f64, f64)],
-) -> String {
+pub fn format_sweep(title: &str, jobs: &[JobResult], paper_table: &[(usize, f64, f64)]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "### {title}");
@@ -60,12 +65,16 @@ pub fn format_sweep(
         out,
         "|--------:|---------------:|------------:|----------------:|-------------:|"
     );
-    for p in points {
-        let (ps, pr) = paper::lookup(paper_table, p.entries).unwrap_or((f64::NAN, f64::NAN));
+    for j in jobs {
+        let (ps, pr) = j
+            .entries
+            .and_then(|e| paper::lookup(paper_table, e))
+            .unwrap_or((f64::NAN, f64::NAN));
+        let entries = j.entries.map_or_else(|| "-".to_string(), |e| e.to_string());
         let _ = writeln!(
             out,
             "| {:>7} | {:>14.3} | {:>11.3} | {:>15.3} | {:>12.3} |",
-            p.entries, p.speedup, p.issue_rate, ps, pr,
+            entries, j.speedup, j.issue_rate, ps, pr,
         );
     }
     out
@@ -150,11 +159,11 @@ pub fn format_cache_ablation(title: &str, rows: &[CacheAblationRow]) -> String {
 /// `Total` row. Cycle counts, not percentages, so rows can be checked
 /// against `cycles == issue + Σ stalls` by eye.
 #[must_use]
-pub fn format_stall_table(title: &str, rows: &[StallBreakdownRow]) -> String {
+pub fn format_stall_table(title: &str, rows: &[WorkloadRow]) -> String {
     use std::fmt::Write as _;
     let reasons: Vec<StallReason> = StallReason::ALL
         .into_iter()
-        .filter(|&r| rows.iter().any(|row| row.hist.stalls(r) > 0))
+        .filter(|&r| rows.iter().any(|row| row.stalls.stalls(r) > 0))
         .collect();
     let mut out = String::new();
     let _ = writeln!(out, "### {title}");
@@ -171,24 +180,28 @@ pub fn format_stall_table(title: &str, rows: &[StallBreakdownRow]) -> String {
     let mut total = StallHistogram::default();
     let mut total_cycles = 0u64;
     for row in rows {
-        total.absorb(&row.hist);
+        total.absorb(&row.stalls);
         total_cycles += row.cycles;
         let _ = write!(
             out,
             "| {:<6} | {:>6} | {:>5} |",
             row.name,
             row.cycles,
-            row.hist.issue_cycles()
+            row.stalls.issue_cycles()
         );
         for r in &reasons {
             let _ = write!(
                 out,
                 " {:>width$} |",
-                row.hist.stalls(*r),
+                row.stalls.stalls(*r),
                 width = r.to_string().len()
             );
         }
-        let _ = writeln!(out, " {:>8.2} |", row.hist.mean_occupancy().unwrap_or(0.0));
+        let _ = writeln!(
+            out,
+            " {:>8.2} |",
+            row.stalls.mean_occupancy().unwrap_or(0.0)
+        );
     }
     let _ = write!(
         out,
@@ -218,16 +231,21 @@ pub fn format_engine_stats(stats: &ruu_engine::EngineStats) -> String {
     )
 }
 
-/// Formats a plain sweep table with no paper reference (ablations).
+/// Formats a plain sweep table with no paper reference (ablations): one
+/// row per job, under its label.
 #[must_use]
-pub fn format_plain_sweep(title: &str, header: &str, rows: &[(String, f64, f64)]) -> String {
+pub fn format_plain_sweep(title: &str, header: &str, jobs: &[JobResult]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "### {title}");
     let _ = writeln!(out, "| {header} | speedup | issue rate |");
     let _ = writeln!(out, "|---|---:|---:|");
-    for (label, speedup, rate) in rows {
-        let _ = writeln!(out, "| {label} | {speedup:.3} | {rate:.3} |");
+    for j in jobs {
+        let _ = writeln!(
+            out,
+            "| {} | {:.3} | {:.3} |",
+            j.label, j.speedup, j.issue_rate
+        );
     }
     out
 }
@@ -235,16 +253,30 @@ pub fn format_plain_sweep(title: &str, header: &str, rows: &[(String, f64, f64)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruu_analysis::DataflowBound;
+    use ruu_engine::Job;
+    use ruu_issue::Mechanism;
+    use ruu_sim_core::MachineConfig;
+
+    fn row(name: &'static str, instructions: u64, cycles: u64, bound: u64) -> WorkloadRow {
+        WorkloadRow {
+            name,
+            cycles,
+            instructions,
+            dataflow_bound: DataflowBound {
+                critical_path: bound,
+                instructions,
+                bound,
+            },
+            stalls: StallHistogram::default(),
+            branch: Default::default(),
+            cache: Default::default(),
+        }
+    }
 
     #[test]
     fn table1_formatting_includes_paper_columns() {
-        let rows = vec![BaselineRow {
-            name: "LLL1",
-            instructions: 100,
-            cycles: 250,
-            dataflow_bound: 125,
-        }];
-        let s = format_table1(&rows);
+        let s = format_table1(&[row("LLL1", 100, 250, 125)]);
         assert!(s.contains("LLL1"));
         assert!(s.contains("7217")); // paper column
         assert!(s.contains("0.400")); // our rate
@@ -253,13 +285,22 @@ mod tests {
     }
 
     #[test]
+    fn table1_prints_no_nan_for_a_zero_cycle_row() {
+        let s = format_table1(&[row("empty", 0, 0, 0)]);
+        assert!(!s.contains("NaN"), "{s}");
+        // Rate and share of the limit both report the 0 sentinel, on the
+        // row and on the total it alone makes up.
+        assert_eq!(s.matches("|       0.000 |").count(), 2, "{s}");
+        assert_eq!(s.matches("|       0.0% |").count(), 2, "{s}");
+    }
+
+    #[test]
     fn stall_table_lists_active_reasons_and_total() {
-        let rows = crate::harness::try_stall_breakdown(
-            &ruu_sim_core::MachineConfig::paper(),
-            ruu_issue::Mechanism::Simple,
-        )
-        .expect("stall breakdown");
-        let s = format_stall_table("Where the cycles go", &rows);
+        let jobs = [Job::new(Mechanism::Simple, MachineConfig::paper())];
+        let report = crate::harness::engine()
+            .run_grid(&jobs)
+            .expect("stall breakdown");
+        let s = format_stall_table("Where the cycles go", &report.jobs[0].workloads);
         assert!(s.contains("operands-not-ready"));
         assert!(s.contains("drained"));
         assert!(s.contains("| Total"));
@@ -268,14 +309,9 @@ mod tests {
 
     #[test]
     fn sweep_formatting_includes_paper_lookup() {
-        let pts = vec![SweepPoint {
-            entries: 10,
-            cycles: 1000,
-            instructions: 700,
-            speedup: 1.5,
-            issue_rate: 0.7,
-        }];
-        let s = format_sweep("Table 2", &pts, &paper::TABLE2);
+        let job = Job::new(Mechanism::Rstu { entries: 10 }, MachineConfig::paper());
+        let result = JobResult::new(&job, 1500, vec![row("LLL1", 700, 1000, 700)]);
+        let s = format_sweep("Table 2", &[result], &paper::TABLE2);
         assert!(s.contains("1.642")); // paper speedup at 10 entries
         assert!(s.contains("1.500"));
     }

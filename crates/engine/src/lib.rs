@@ -2,26 +2,25 @@
 //!
 //! Every paper table and ablation is a *grid* of independent simulations:
 //! (mechanism, machine configuration, workload) triples whose results are
-//! aggregated into speedup/issue-rate rows. The legacy
-//! `ruu_bench::harness::sweep` ran that grid serially, re-assembling the
-//! Livermore suite and re-running the simple-issue baseline on every
-//! call. This crate turns the grid into an explicit job list executed by
-//! a [`SweepEngine`]:
+//! aggregated into speedup/issue-rate rows. [`SweepEngine::run_grid`] is
+//! the one way to run such a grid — every bench table, ablation and CLI
+//! mode builds a `Vec<Job>` and reads the [`SweepReport`]:
 //!
 //! * the workload suite is assembled **once** and shared via
 //!   `Arc<[Workload]>`;
 //! * independent (job × workload) units run across a
 //!   `std::thread::scope` worker pool (work-stealing over an atomic
 //!   counter — no external dependencies);
-//! * baseline (simple-issue) cycles are **memoized per configuration**
-//!   in a [`MachineConfig`]-keyed cache, so repeated sweeps over the
-//!   same machine never pay for the baseline twice;
-//! * per-workload **dataflow-limit lower bounds**
-//!   (`ruu_analysis::dataflow_bound` over each golden trace) are
-//!   memoized the same way, so every [`JobResult`] reports how close
-//!   the mechanism came to the best any issue logic could do;
-//! * results come back as a [`SweepReport`]: per-job cycles,
-//!   instructions, and speedup plus wall-clock and throughput engine
+//! * what every job under one configuration shares — the simple-issue
+//!   baseline's cycles and each workload's **dataflow-limit lower
+//!   bound** (`ruu_analysis::dataflow_bound` over its golden trace) — is
+//!   **memoized per configuration** in one [`MachineConfig`]-keyed memo,
+//!   filled by one pooled pass, so repeated grids over the same machine
+//!   never pay for it twice;
+//! * results come back as a [`SweepReport`]: one [`JobResult`] per job,
+//!   holding one [`WorkloadRow`] per workload (cycles, instructions,
+//!   dataflow bound, stall histogram, branch and cache counters) whose
+//!   sums are the job's totals, plus wall-clock and throughput engine
 //!   stats, serializable to JSON with a hand-rolled std-only writer.
 //!
 //! Determinism is a hard guarantee: per-job numbers are aggregated in
@@ -50,6 +49,7 @@
 //!     .collect();
 //! let report = engine.run_grid(&jobs)?;
 //! assert_eq!(report.jobs.len(), 2);
+//! assert_eq!(report.jobs[0].workloads.len(), 14);
 //! assert!(report.jobs[1].speedup >= report.jobs[0].speedup);
 //! # Ok::<(), ruu_engine::EngineError>(())
 //! ```
@@ -60,10 +60,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ruu_analysis::dataflow_bound;
+use ruu_analysis::{dataflow_bound, DataflowBound};
 use ruu_exec::{ArchState, ExecError};
 use ruu_issue::{Mechanism, SimError};
-use ruu_sim_core::{MachineConfig, StallHistogram, StallReason};
+use ruu_sim_core::{MachineConfig, RunResult, StallHistogram, StallReason};
 use ruu_workloads::{livermore, VerifyError, Workload};
 
 pub mod json;
@@ -150,7 +150,8 @@ impl Job {
     }
 }
 
-/// Branch-prediction totals for one speculative job over the suite.
+/// Branch-prediction counters of one speculative run, or their sum over
+/// a job's suite.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchSummary {
     /// Conditional branches whose direction was predicted.
@@ -160,6 +161,8 @@ pub struct BranchSummary {
     /// Fetch cycles lost to misprediction repair
     /// ([`StallReason::MispredictRepair`]).
     pub flush_cycles: u64,
+    /// Wrong-path instructions the squashes nullified.
+    pub nullified: u64,
 }
 
 impl BranchSummary {
@@ -174,7 +177,7 @@ impl BranchSummary {
     }
 }
 
-/// Data-cache totals for one job over the suite.
+/// Data-cache counters of one run, or their sum over a job's suite.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheSummary {
     /// Loads that consulted the cache.
@@ -204,6 +207,61 @@ impl CacheSummary {
             0.0
         } else {
             self.hits as f64 / self.accesses as f64
+        }
+    }
+}
+
+/// One job's results on one workload: one unit of a grid (the shape of a
+/// row of the paper's Table 1).
+#[derive(Debug, Clone)]
+pub struct WorkloadRow {
+    /// The workload's name.
+    pub name: &'static str,
+    /// Cycles to execute it.
+    pub cycles: u64,
+    /// Dynamic instructions executed.
+    pub instructions: u64,
+    /// The workload's dataflow limit under the job's configuration (see
+    /// `ruu_analysis::dataflow_bound`): its critical path, its golden
+    /// instruction count, and the lower bound on cycles they imply.
+    pub dataflow_bound: DataflowBound,
+    /// The run's issue-side stall histogram: issue cycles, per-reason
+    /// stall cycles and window occupancy.
+    pub stalls: StallHistogram,
+    /// The run's branch-prediction counters (all zero when the mechanism
+    /// does not speculate).
+    pub branch: BranchSummary,
+    /// The run's data-cache counters (all zero under the perfect memory).
+    pub cache: CacheSummary,
+}
+
+impl WorkloadRow {
+    /// The row for one verified run of `name`, observed by `stalls`.
+    #[must_use]
+    pub fn new(
+        name: &'static str,
+        run: &RunResult,
+        stalls: StallHistogram,
+        dataflow_bound: DataflowBound,
+    ) -> Self {
+        let s = &run.stats;
+        WorkloadRow {
+            name,
+            cycles: run.cycles,
+            instructions: run.instructions,
+            dataflow_bound,
+            stalls,
+            branch: BranchSummary {
+                predicts: s.predicted_branches,
+                mispredicts: s.mispredicted_branches,
+                flush_cycles: s.stalls(StallReason::MispredictRepair),
+                nullified: s.nullified,
+            },
+            cache: CacheSummary {
+                accesses: s.dcache_accesses,
+                hits: s.dcache_hits,
+                misses: s.dcache_misses,
+            },
         }
     }
 }
@@ -248,9 +306,53 @@ pub struct JobResult {
     /// `DCacheConfig` (`None` under the perfect default, whose loads
     /// never consult a cache).
     pub cache: Option<CacheSummary>,
+    /// One row per workload, in suite order; every total above is the
+    /// sum of these rows.
+    pub workloads: Vec<WorkloadRow>,
 }
 
 impl JobResult {
+    /// Aggregates `job`'s per-workload rows (suite order) and scores them
+    /// against the configuration's simple-issue `baseline_cycles`.
+    #[must_use]
+    pub fn new(job: &Job, baseline_cycles: u64, workloads: Vec<WorkloadRow>) -> Self {
+        let mut cycles = 0u64;
+        let mut instructions = 0u64;
+        let mut dataflow_bound = 0u64;
+        let mut stalls = StallHistogram::default();
+        let mut branch = BranchSummary::default();
+        let mut cache = CacheSummary::default();
+        for r in &workloads {
+            cycles += r.cycles;
+            instructions += r.instructions;
+            dataflow_bound += r.dataflow_bound.bound;
+            stalls.absorb(&r.stalls);
+            branch.predicts += r.branch.predicts;
+            branch.mispredicts += r.branch.mispredicts;
+            branch.flush_cycles += r.branch.flush_cycles;
+            branch.nullified += r.branch.nullified;
+            cache.accesses += r.cache.accesses;
+            cache.hits += r.cache.hits;
+            cache.misses += r.cache.misses;
+        }
+        JobResult {
+            label: job.label.clone(),
+            mechanism: job.mechanism.to_string(),
+            entries: job.mechanism.window_entries(),
+            cycles,
+            instructions,
+            baseline_cycles,
+            speedup: baseline_cycles as f64 / cycles as f64,
+            issue_rate: instructions as f64 / cycles as f64,
+            dataflow_bound,
+            efficiency: dataflow_bound as f64 / cycles as f64,
+            stalls: stalls.rows(),
+            branch: job.mechanism.predictor().map(|_| branch),
+            cache: (!job.config.dcache.is_perfect()).then_some(cache),
+            workloads,
+        }
+    }
+
     /// Total stall cycles across all reasons.
     #[must_use]
     pub fn total_stalls(&self) -> u64 {
@@ -326,6 +428,7 @@ impl SweepReport {
                 w.key("mispredicts").u64(b.mispredicts);
                 w.key("mpki").f64(b.mpki(j.instructions));
                 w.key("flush_cycles").u64(b.flush_cycles);
+                w.key("nullified").u64(b.nullified);
                 w.end_object();
             }
             if let Some(c) = j.cache {
@@ -345,19 +448,15 @@ impl SweepReport {
     }
 }
 
-/// Per-workload numbers for one (mechanism, config) pair — the shape of
-/// the paper's Table 1.
-#[derive(Debug, Clone)]
-pub struct WorkloadRow {
-    /// The workload's name.
-    pub name: &'static str,
-    /// Cycles to execute it.
-    pub cycles: u64,
-    /// Dynamic instructions executed.
-    pub instructions: u64,
-    /// Dataflow-limit lower bound on cycles under the run's
-    /// configuration (see `ruu_analysis::dataflow_bound`).
-    pub dataflow_bound: u64,
+/// What every job under one configuration shares, memoized per
+/// [`MachineConfig`].
+#[derive(Debug)]
+struct ConfigMemo {
+    /// Simple-issue cycles over the suite: the denominator of every
+    /// paper-style speedup.
+    baseline_cycles: u64,
+    /// Each workload's dataflow limit (suite order).
+    bounds: Vec<DataflowBound>,
 }
 
 /// The parallel batch-simulation engine. See the crate docs.
@@ -365,8 +464,7 @@ pub struct WorkloadRow {
 pub struct SweepEngine {
     suite: Arc<[Workload]>,
     workers: usize,
-    baseline_cache: Mutex<HashMap<MachineConfig, u64>>,
-    bound_cache: Mutex<HashMap<MachineConfig, Arc<Vec<u64>>>>,
+    memo: Mutex<HashMap<MachineConfig, Arc<ConfigMemo>>>,
 }
 
 impl SweepEngine {
@@ -377,8 +475,7 @@ impl SweepEngine {
         SweepEngine {
             suite: suite.into(),
             workers: default_workers(),
-            baseline_cache: Mutex::new(HashMap::new()),
-            bound_cache: Mutex::new(HashMap::new()),
+            memo: Mutex::new(HashMap::new()),
         }
     }
 
@@ -447,20 +544,18 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Runs one (mechanism, config, workload) triple and verifies the
-    /// result against the workload's mirror computation. Returns cycles,
-    /// instructions, the run's per-reason stall histogram and its branch
-    /// summary (integer counters, so aggregation stays worker-count
-    /// independent).
+    /// Runs one (mechanism, config, workload) triple under a stall
+    /// histogram and verifies the result against the workload's mirror
+    /// computation.
     fn run_unit(
         label: &str,
         mechanism: Mechanism,
         config: &MachineConfig,
         w: &Workload,
-    ) -> Result<(u64, u64, StallHistogram, BranchSummary, CacheSummary), EngineError> {
-        let sim = mechanism.build(config);
+    ) -> Result<(RunResult, StallHistogram), EngineError> {
         let mut hist = StallHistogram::default();
-        let r = sim
+        let r = mechanism
+            .build(config)
             .run_observed(
                 ArchState::new(),
                 w.memory.clone(),
@@ -478,120 +573,61 @@ impl SweepEngine {
             workload: w.name,
             err,
         })?;
-        let branch = BranchSummary {
-            predicts: r.stats.predicted_branches,
-            mispredicts: r.stats.mispredicted_branches,
-            flush_cycles: r.stats.stalls(StallReason::MispredictRepair),
-        };
-        let cache = CacheSummary {
-            accesses: r.stats.dcache_accesses,
-            hits: r.stats.dcache_hits,
-            misses: r.stats.dcache_misses,
-        };
-        Ok((r.cycles, r.instructions, hist, branch, cache))
+        Ok((r, hist))
     }
 
-    /// Fills the baseline cache for every configuration in `configs`
-    /// (one pooled pass over all missing config × workload units).
-    /// Returns the number of units it had to execute.
-    fn ensure_baselines(&self, configs: &[&MachineConfig]) -> Result<usize, EngineError> {
+    /// Returns the memo of every configuration in `configs` (input
+    /// order), first filling those not yet memoized in one pooled pass
+    /// over (config × workload) units: each unit runs the simple-issue
+    /// baseline, then captures the golden trace for the dataflow bound.
+    /// Also returns the number of baseline runs it executed; the bounds
+    /// are static analysis, not simulation units.
+    fn memos(
+        &self,
+        configs: &[&MachineConfig],
+    ) -> Result<(Vec<Arc<ConfigMemo>>, usize), EngineError> {
         let missing: Vec<&MachineConfig> = {
-            let cache = self.baseline_cache.lock().expect("baseline cache lock");
+            let memo = self.memo.lock().expect("memo lock");
             let mut seen: Vec<&MachineConfig> = Vec::new();
             for &c in configs {
-                if !cache.contains_key(c) && !seen.contains(&c) {
+                if !memo.contains_key(c) && !seen.contains(&c) {
                     seen.push(c);
                 }
             }
             seen
         };
-        if missing.is_empty() {
-            return Ok(0);
-        }
         let per_cfg = self.suite.len();
         let n_units = missing.len() * per_cfg;
         let outs = self.run_pool(n_units, |i| {
             let cfg = missing[i / per_cfg];
             let w = &self.suite[i % per_cfg];
-            Self::run_unit("baseline(simple)", Mechanism::Simple, cfg, w)
+            let cycles = Self::run_unit("baseline(simple)", Mechanism::Simple, cfg, w)?
+                .0
+                .cycles;
+            let trace = w.golden_trace().map_err(|err| EngineError::Golden {
+                workload: w.name,
+                err,
+            })?;
+            Ok((cycles, dataflow_bound(&trace, cfg)))
         });
-        let mut cache = self.baseline_cache.lock().expect("baseline cache lock");
+        let mut memo = self.memo.lock().expect("memo lock");
         for (ci, &cfg) in missing.iter().enumerate() {
-            let mut cycles = 0u64;
+            let mut entry = ConfigMemo {
+                baseline_cycles: 0,
+                bounds: Vec::with_capacity(per_cfg),
+            };
             for out in &outs[ci * per_cfg..(ci + 1) * per_cfg] {
-                cycles += out.as_ref().map_err(Clone::clone)?.0;
+                let (cycles, bound) = out.as_ref().map_err(Clone::clone)?;
+                entry.baseline_cycles += cycles;
+                entry.bounds.push(*bound);
             }
-            cache.insert(cfg.clone(), cycles);
+            memo.insert(cfg.clone(), Arc::new(entry));
         }
-        Ok(n_units)
-    }
-
-    /// Fills the dataflow-bound cache for every configuration in
-    /// `configs`. Bounds are static analysis over each workload's
-    /// golden trace, not simulation units, so fills are **not** counted
-    /// in [`EngineStats::units`].
-    fn ensure_bounds(&self, configs: &[&MachineConfig]) -> Result<(), EngineError> {
-        let missing: Vec<&MachineConfig> = {
-            let cache = self.bound_cache.lock().expect("bound cache lock");
-            let mut seen: Vec<&MachineConfig> = Vec::new();
-            for &c in configs {
-                if !cache.contains_key(c) && !seen.contains(&c) {
-                    seen.push(c);
-                }
-            }
-            seen
-        };
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let per_cfg = self.suite.len();
-        let outs = self.run_pool(missing.len() * per_cfg, |i| {
-            let cfg = missing[i / per_cfg];
-            let w = &self.suite[i % per_cfg];
-            w.golden_trace()
-                .map(|t| dataflow_bound(&t, cfg).bound)
-                .map_err(|err| EngineError::Golden {
-                    workload: w.name,
-                    err,
-                })
-        });
-        let mut cache = self.bound_cache.lock().expect("bound cache lock");
-        for (ci, &cfg) in missing.iter().enumerate() {
-            let mut bounds = Vec::with_capacity(per_cfg);
-            for out in &outs[ci * per_cfg..(ci + 1) * per_cfg] {
-                bounds.push(*out.as_ref().map_err(Clone::clone)?);
-            }
-            cache.insert(cfg.clone(), Arc::new(bounds));
-        }
-        Ok(())
-    }
-
-    /// Per-workload dataflow-limit lower bounds (suite order) under
-    /// `config` — the fewest cycles *any* issue mechanism could take,
-    /// limited only by true RAW dependences and functional-unit
-    /// latencies. Memoized per configuration for the engine's lifetime.
-    ///
-    /// # Errors
-    /// Propagates a golden-interpreter failure as
-    /// [`EngineError::Golden`].
-    pub fn dataflow_bounds(&self, config: &MachineConfig) -> Result<Arc<Vec<u64>>, EngineError> {
-        self.ensure_bounds(&[config])?;
-        let cache = self.bound_cache.lock().expect("bound cache lock");
-        Ok(Arc::clone(
-            cache.get(config).expect("ensure_bounds filled this key"),
-        ))
-    }
-
-    /// Total simple-issue cycles over the suite under `config` — the
-    /// denominator of every paper-style speedup. Memoized per
-    /// configuration for the engine's lifetime.
-    ///
-    /// # Errors
-    /// Propagates the first failing unit's [`EngineError`].
-    pub fn baseline_cycles(&self, config: &MachineConfig) -> Result<u64, EngineError> {
-        self.ensure_baselines(&[config])?;
-        let cache = self.baseline_cache.lock().expect("baseline cache lock");
-        Ok(*cache.get(config).expect("ensure_baselines filled this key"))
+        let memos = configs
+            .iter()
+            .map(|&c| Arc::clone(memo.get(c).expect("every config is memoized")))
+            .collect();
+        Ok((memos, n_units))
     }
 
     /// Executes a job grid across the worker pool.
@@ -606,64 +642,22 @@ impl SweepEngine {
     pub fn run_grid(&self, jobs: &[Job]) -> Result<SweepReport, EngineError> {
         let start = Instant::now();
         let configs: Vec<&MachineConfig> = jobs.iter().map(|j| &j.config).collect();
-        let baseline_units = self.ensure_baselines(&configs)?;
-        self.ensure_bounds(&configs)?;
+        let (memos, baseline_units) = self.memos(&configs)?;
 
         let per_job = self.suite.len();
         let n_units = jobs.len() * per_job;
         let outs = self.run_pool(n_units, |i| {
-            let job = &jobs[i / per_job];
-            let w = &self.suite[i % per_job];
-            Self::run_unit(&job.label, job.mechanism, &job.config, w)
+            let (ji, wi) = (i / per_job, i % per_job);
+            let (job, w) = (&jobs[ji], &self.suite[wi]);
+            let (r, stalls) = Self::run_unit(&job.label, job.mechanism, &job.config, w)?;
+            Ok(WorkloadRow::new(w.name, &r, stalls, memos[ji].bounds[wi]))
         });
-
-        let cache = self.baseline_cache.lock().expect("baseline cache lock");
-        let bound_cache = self.bound_cache.lock().expect("bound cache lock");
+        let mut outs = outs.into_iter();
         let mut results = Vec::with_capacity(jobs.len());
-        for (ji, job) in jobs.iter().enumerate() {
-            let mut cycles = 0u64;
-            let mut instructions = 0u64;
-            let mut stalls = StallHistogram::default();
-            let mut branch = BranchSummary::default();
-            let mut dcache = CacheSummary::default();
-            for out in &outs[ji * per_job..(ji + 1) * per_job] {
-                let (c, n, h, b, dc) = out.as_ref().map_err(Clone::clone)?;
-                cycles += c;
-                instructions += n;
-                stalls.absorb(h);
-                branch.predicts += b.predicts;
-                branch.mispredicts += b.mispredicts;
-                branch.flush_cycles += b.flush_cycles;
-                dcache.accesses += dc.accesses;
-                dcache.hits += dc.hits;
-                dcache.misses += dc.misses;
-            }
-            let baseline_cycles = *cache
-                .get(&job.config)
-                .expect("ensure_baselines covered every job config");
-            let dataflow_bound: u64 = bound_cache
-                .get(&job.config)
-                .expect("ensure_bounds covered every job config")
-                .iter()
-                .sum();
-            results.push(JobResult {
-                label: job.label.clone(),
-                mechanism: job.mechanism.to_string(),
-                entries: job.mechanism.window_entries(),
-                cycles,
-                instructions,
-                baseline_cycles,
-                speedup: baseline_cycles as f64 / cycles as f64,
-                issue_rate: instructions as f64 / cycles as f64,
-                dataflow_bound,
-                efficiency: dataflow_bound as f64 / cycles as f64,
-                stalls: stalls.rows(),
-                branch: job.mechanism.predictor().map(|_| branch),
-                cache: (!job.config.dcache.is_perfect()).then_some(dcache),
-            });
+        for (job, memo) in jobs.iter().zip(&memos) {
+            let rows = outs.by_ref().take(per_job).collect::<Result<_, _>>()?;
+            results.push(JobResult::new(job, memo.baseline_cycles, rows));
         }
-        drop(cache);
-        drop(bound_cache);
 
         let wall = start.elapsed();
         let units = n_units + baseline_units;
@@ -683,36 +677,6 @@ impl SweepEngine {
                 units_per_sec: if secs > 0.0 { units as f64 / secs } else { 0.0 },
             },
         })
-    }
-
-    /// Runs one (mechanism, config) pair over the suite, returning
-    /// per-workload rows (paper Table-1 shape), computed in parallel.
-    ///
-    /// # Errors
-    /// The first failing workload (in suite order) aborts with its
-    /// [`EngineError`].
-    pub fn workload_rows(
-        &self,
-        mechanism: Mechanism,
-        config: &MachineConfig,
-    ) -> Result<Vec<WorkloadRow>, EngineError> {
-        let label = mechanism.to_string();
-        let bounds = self.dataflow_bounds(config)?;
-        let outs = self.run_pool(self.suite.len(), |i| {
-            let w = &self.suite[i];
-            Self::run_unit(&label, mechanism, config, w).map(|(c, n, _, _, _)| (w.name, c, n))
-        });
-        outs.into_iter()
-            .zip(bounds.iter())
-            .map(|(out, &dataflow_bound)| {
-                out.map(|(name, cycles, instructions)| WorkloadRow {
-                    name,
-                    cycles,
-                    instructions,
-                    dataflow_bound,
-                })
-            })
-            .collect()
     }
 }
 
@@ -792,11 +756,19 @@ mod tests {
         for (job, res) in jobs.iter().zip(&report.jobs) {
             let mut cycles = 0;
             let mut insts = 0;
-            for w in &suite {
+            assert_eq!(res.workloads.len(), suite.len(), "{}", job.label);
+            for (w, row) in suite.iter().zip(&res.workloads) {
                 let r = job
                     .mechanism
                     .run(&job.config, &w.program, w.memory.clone(), w.inst_limit)
                     .expect("reference run");
+                assert_eq!(row.name, w.name, "{}", job.label);
+                assert_eq!(row.cycles, r.cycles, "{} on {}", job.label, w.name);
+                assert_eq!(
+                    row.instructions, r.instructions,
+                    "{} on {}",
+                    job.label, w.name
+                );
                 cycles += r.cycles;
                 insts += r.instructions;
             }
@@ -811,12 +783,13 @@ mod tests {
     fn baseline_cache_is_memoized() {
         let engine = SweepEngine::new(mini_suite()).with_workers(2);
         let cfg = MachineConfig::paper();
-        let a = engine.baseline_cycles(&cfg).expect("baseline");
-        let b = engine.baseline_cycles(&cfg).expect("baseline (cached)");
-        assert_eq!(a, b);
+        // The first grid over a config fills its baseline.
+        let r0 = engine.run_grid(&[ruu_job(4)]).expect("grid");
+        assert_eq!(r0.stats.units, 2 * engine.suite().len());
         // Second grid over the same config schedules no baseline units.
         let r1 = engine.run_grid(&[ruu_job(4)]).expect("grid");
         assert_eq!(r1.stats.units, engine.suite().len());
+        assert_eq!(r0.jobs[0].baseline_cycles, r1.jobs[0].baseline_cycles);
         // A new config forces a baseline fill.
         let other = cfg.clone().with_result_buses(2);
         let r2 = engine
@@ -842,6 +815,16 @@ mod tests {
             assert_eq!(a.speedup.to_bits(), b.speedup.to_bits());
             assert_eq!(a.issue_rate.to_bits(), b.issue_rate.to_bits());
             assert_eq!(a.stalls, b.stalls);
+            assert_eq!(a.workloads.len(), b.workloads.len());
+            for (ra, rb) in a.workloads.iter().zip(&b.workloads) {
+                assert_eq!(ra.name, rb.name);
+                assert_eq!(ra.cycles, rb.cycles);
+                assert_eq!(ra.instructions, rb.instructions);
+                assert_eq!(ra.dataflow_bound, rb.dataflow_bound);
+                assert_eq!(ra.stalls.rows(), rb.stalls.rows());
+                assert_eq!(ra.branch, rb.branch);
+                assert_eq!(ra.cache, rb.cache);
+            }
         }
     }
 
@@ -915,6 +898,7 @@ mod tests {
             "\"mispredicts\":",
             "\"mpki\":",
             "\"flush_cycles\":",
+            "\"nullified\":",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -982,19 +966,15 @@ mod tests {
     #[test]
     fn workload_rows_cover_the_suite_in_order() {
         let engine = SweepEngine::new(mini_suite()).with_workers(4);
-        let rows = engine
-            .workload_rows(Mechanism::Simple, &MachineConfig::paper())
-            .expect("rows");
+        let report = engine
+            .run_grid(&[Job::new(Mechanism::Simple, MachineConfig::paper())])
+            .expect("grid");
+        let rows = &report.jobs[0].workloads;
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "mini1");
         assert_eq!(rows[1].name, "mini2");
         let total: u64 = rows.iter().map(|r| r.cycles).sum();
-        assert_eq!(
-            total,
-            engine
-                .baseline_cycles(&MachineConfig::paper())
-                .expect("baseline")
-        );
+        assert_eq!(total, report.jobs[0].baseline_cycles);
     }
 
     #[test]
@@ -1022,14 +1002,14 @@ mod tests {
         // Per-workload rows carry the same per-config bounds, and the
         // bound is at least the dynamic instruction count (decode is
         // one per cycle).
-        let rows = engine
-            .workload_rows(Mechanism::Simple, &MachineConfig::paper())
-            .expect("rows");
-        let total: u64 = rows.iter().map(|r| r.dataflow_bound).sum();
-        assert_eq!(total, report.jobs[0].dataflow_bound);
-        for r in &rows {
-            assert!(r.cycles >= r.dataflow_bound, "{}", r.name);
-            assert!(r.dataflow_bound >= r.instructions, "{}", r.name);
+        for j in &report.jobs {
+            let rows = &j.workloads;
+            let total: u64 = rows.iter().map(|r| r.dataflow_bound.bound).sum();
+            assert_eq!(total, j.dataflow_bound);
+            for r in rows {
+                assert!(r.cycles >= r.dataflow_bound.bound, "{}", r.name);
+                assert!(r.dataflow_bound.bound >= r.instructions, "{}", r.name);
+            }
         }
     }
 

@@ -65,9 +65,9 @@
 
 use std::process::ExitCode;
 
-use ruu::analysis::{apply_waivers, branch_sites, dataflow_bound, lint, LintOptions, Severity};
+use ruu::analysis::{apply_waivers, branch_sites, lint, LintOptions, Severity};
 use ruu::engine::json::JsonWriter;
-use ruu::engine::{Job, SweepEngine};
+use ruu::engine::{Job, JobResult, SweepEngine};
 use ruu::exec::{ArchState, Memory};
 use ruu::isa::text;
 use ruu::issue::{Bypass, Mechanism, PreciseScheme};
@@ -75,15 +75,6 @@ use ruu::predict::cbp::{evaluate_with_btb, BranchStream, BtbStats, CbpResult};
 use ruu::predict::{Btb, PredictorConfig};
 use ruu::sim::{ChromeTraceObserver, CycleAccountant, DCacheConfig, MachineConfig, Tee};
 use ruu::workloads::{livermore, Workload};
-
-struct Options {
-    mechanism: String,
-    workload: String,
-    entries: usize,
-    paths: u32,
-    loadregs: usize,
-    predictor: PredictorConfig,
-}
 
 /// Maps a CLI mechanism name (sized by `entries`; the speculative machine
 /// additionally takes `predictor`) to a [`Mechanism`].
@@ -147,46 +138,96 @@ fn mechanism_by_name(
     Ok(m)
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut args = std::env::args().skip(1);
-    let mechanism = args.next().ok_or_else(usage)?;
-    let mut opts = Options {
-        mechanism,
-        workload: "all".into(),
-        entries: 15,
-        paths: 1,
-        loadregs: 6,
-        predictor: PredictorConfig::default(),
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--entries" => {
-                opts.entries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--entries needs a number")?;
+/// One subcommand's arguments in command-line order: `(flag, value)`
+/// pairs, where a bare switch has no value and a positional workload is
+/// keyed by the empty flag.
+struct Flags(Vec<(String, Option<String>)>);
+
+impl Flags {
+    /// Reads `args` against the subcommand's flags: each of `valued`
+    /// takes the next argument as its value (an error if there is none),
+    /// each of `switches` takes none, and a bare word is a positional
+    /// workload if `positional`. Anything else is an unknown option.
+    fn parse(
+        mut args: impl Iterator<Item = String>,
+        valued: &[&str],
+        switches: &[&str],
+        positional: bool,
+    ) -> Result<Flags, String> {
+        let mut flags = Vec::new();
+        while let Some(arg) = args.next() {
+            if valued.contains(&arg.as_str()) {
+                let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+                flags.push((arg, Some(value)));
+            } else if switches.contains(&arg.as_str()) {
+                flags.push((arg, None));
+            } else if positional && !arg.starts_with('-') {
+                flags.push((String::new(), Some(arg)));
+            } else {
+                return Err(format!("unknown option {arg}\n{}", usage()));
             }
-            "--predictor" => {
-                let spec = args.next().ok_or("--predictor needs NAME[:SIZE]")?;
-                opts.predictor = PredictorConfig::parse(&spec).map_err(|e| e.to_string())?;
-            }
-            "--paths" => {
-                opts.paths = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--paths needs a number")?;
-            }
-            "--loadregs" => {
-                opts.loadregs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--loadregs needs a number")?;
-            }
-            w if !w.starts_with('-') => opts.workload = w.to_string(),
-            other => return Err(format!("unknown option {other}\n{}", usage())),
         }
+        Ok(Flags(flags))
     }
-    Ok(opts)
+
+    /// Every value given to `flag`, in order.
+    fn all<'a>(&'a self, flag: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.0
+            .iter()
+            .filter(move |(f, _)| f == flag)
+            .filter_map(|(_, v)| v.as_deref())
+    }
+
+    /// The last value given to `flag`.
+    fn get(&self, flag: &str) -> Option<&str> {
+        let last = self.0.iter().rev().find(|(f, _)| f == flag);
+        last.and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.0.iter().any(|(f, _)| f == flag)
+    }
+
+    /// `flag`'s value as a number, or `default` when it is absent.
+    fn number<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        self.get(flag).map_or(Ok(default), |v| {
+            v.parse().map_err(|_| format!("{flag} needs a number"))
+        })
+    }
+
+    /// Like [`Flags::number`], but rejects 0: the machine sizes the
+    /// simulator constructors assert on.
+    fn size<T: std::str::FromStr + PartialEq + From<u8>>(
+        &self,
+        flag: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let n = self.number(flag, default)?;
+        if n == T::from(0) {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        Ok(n)
+    }
+
+    /// The `--predictor` spec, or the calibrated default.
+    fn predictor(&self) -> Result<PredictorConfig, String> {
+        self.get("--predictor")
+            .map_or(Ok(PredictorConfig::default()), |spec| {
+                PredictorConfig::parse(spec).map_err(|e| e.to_string())
+            })
+    }
+
+    /// The selected workloads: the last of a positional name or `.s`
+    /// file, `--loop NAME` and `--all-loops` (default: all loops).
+    fn workloads(&self) -> Result<Vec<Workload>, String> {
+        let sel = self.0.iter().rev().find_map(|(f, v)| match f.as_str() {
+            "" | "--loop" => v.as_deref(),
+            "--all-loops" => Some("all"),
+            _ => None,
+        });
+        workloads(sel.unwrap_or("all"))
+    }
 }
 
 fn usage() -> String {
@@ -251,79 +292,54 @@ fn parse_entries_spec(spec: &str) -> Result<Vec<usize>, String> {
     }
 }
 
-fn run_sweep(mut args: std::env::Args) -> Result<(), String> {
-    let mut mechanism: Option<String> = None;
-    let mut entries_spec: Option<String> = None;
-    let mut jobs: usize = 0;
-    let mut json = false;
-    let mut paths: u32 = 1;
-    let mut loadregs: usize = 6;
-    let mut buses: u32 = 1;
-    let mut predictor = PredictorConfig::default();
-    let mut dcache = DCacheConfig::Perfect;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--mechanism" => mechanism = Some(args.next().ok_or("--mechanism needs a name")?),
-            "--entries" => entries_spec = Some(args.next().ok_or("--entries needs a spec")?),
-            "--predictor" => {
-                let spec = args.next().ok_or("--predictor needs NAME[:SIZE]")?;
-                predictor = PredictorConfig::parse(&spec).map_err(|e| e.to_string())?;
-            }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--jobs needs a number")?;
-            }
-            "--json" => json = true,
-            "--paths" => {
-                paths = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--paths needs a number")?;
-            }
-            "--loadregs" => {
-                loadregs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--loadregs needs a number")?;
-            }
-            "--buses" => {
-                buses = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--buses needs a number")?;
-            }
-            "--dcache" => {
-                let spec = args.next().ok_or("--dcache needs a geometry")?;
-                dcache = DCacheConfig::parse(&spec).map_err(|e| e.to_string())?;
-            }
-            other => return Err(format!("unknown option {other}\n{}", usage())),
-        }
-    }
-    let name = mechanism.ok_or_else(|| format!("sweep needs --mechanism\n{}", usage()))?;
-    let spec = entries_spec.ok_or_else(|| format!("sweep needs --entries\n{}", usage()))?;
-    let entries = parse_entries_spec(&spec)?;
+fn run_sweep(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let flags = Flags::parse(
+        args,
+        &[
+            "--mechanism",
+            "--entries",
+            "--predictor",
+            "--jobs",
+            "--paths",
+            "--loadregs",
+            "--buses",
+            "--dcache",
+        ],
+        &["--json"],
+        false,
+    )?;
+    let name = flags
+        .get("--mechanism")
+        .ok_or_else(|| format!("sweep needs --mechanism\n{}", usage()))?;
+    let spec = flags
+        .get("--entries")
+        .ok_or_else(|| format!("sweep needs --entries\n{}", usage()))?;
+    let entries = parse_entries_spec(spec)?;
+    let predictor = flags.predictor()?;
+    let dcache = flags
+        .get("--dcache")
+        .map_or(Ok(DCacheConfig::Perfect), DCacheConfig::parse)
+        .map_err(|e| e.to_string())?;
     let cfg = MachineConfig::paper()
-        .with_dispatch_paths(paths)
-        .with_load_registers(loadregs)
-        .with_result_buses(buses)
+        .with_dispatch_paths(flags.size("--paths", 1)?)
+        .with_load_registers(flags.size("--loadregs", 6)?)
+        .with_result_buses(flags.size("--buses", 1)?)
         .with_dcache(dcache);
 
     let grid: Vec<Job> = entries
         .iter()
         .map(|&e| {
             Ok(Job::new(
-                mechanism_by_name(&name, e, predictor)?,
+                mechanism_by_name(name, e, predictor)?,
                 cfg.clone(),
             ))
         })
         .collect::<Result<_, String>>()?;
 
-    let engine = SweepEngine::livermore().with_workers(jobs);
+    let engine = SweepEngine::livermore().with_workers(flags.number("--jobs", 0)?);
     let report = engine.run_grid(&grid).map_err(|e| e.to_string())?;
 
-    if json {
+    if flags.has("--json") {
         println!("{}", report.to_json());
         return Ok(());
     }
@@ -369,35 +385,30 @@ fn run_sweep(mut args: std::env::Args) -> Result<(), String> {
 
 /// Runs one workload under one mechanism with a Chrome-trace observer and
 /// a cycle accountant attached, writing the trace JSON to `--out`.
-fn run_trace(mut args: std::env::Args) -> Result<(), String> {
-    let mut mechanism: Option<String> = None;
-    let mut sel: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut entries: usize = 15;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--mechanism" => mechanism = Some(args.next().ok_or("--mechanism needs a name")?),
-            "--loop" => sel = Some(args.next().ok_or("--loop needs a workload name")?),
-            "--out" => out = Some(args.next().ok_or("--out needs a file path")?),
-            "--entries" => {
-                entries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--entries needs a number")?;
-            }
-            other => return Err(format!("unknown option {other}\n{}", usage())),
-        }
-    }
-    let name = mechanism.ok_or_else(|| format!("trace needs --mechanism\n{}", usage()))?;
-    let sel = sel.ok_or_else(|| format!("trace needs --loop\n{}", usage()))?;
-    let path = out.ok_or_else(|| format!("trace needs --out\n{}", usage()))?;
-    let suite = workloads(&sel)?;
+fn run_trace(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let flags = Flags::parse(
+        args,
+        &["--mechanism", "--loop", "--out", "--entries"],
+        &[],
+        false,
+    )?;
+    let name = flags
+        .get("--mechanism")
+        .ok_or_else(|| format!("trace needs --mechanism\n{}", usage()))?;
+    let sel = flags
+        .get("--loop")
+        .ok_or_else(|| format!("trace needs --loop\n{}", usage()))?;
+    let path = flags
+        .get("--out")
+        .ok_or_else(|| format!("trace needs --out\n{}", usage()))?;
+    let entries = flags.number("--entries", 15)?;
+    let suite = workloads(sel)?;
     let [w] = suite.as_slice() else {
         return Err("trace wants exactly one workload (e.g. --loop LLL3)".to_string());
     };
 
     let cfg = MachineConfig::paper();
-    let sim = mechanism_by_name(&name, entries, PredictorConfig::default())?.build(&cfg);
+    let sim = mechanism_by_name(name, entries, PredictorConfig::default())?.build(&cfg);
 
     let mut trace = ChromeTraceObserver::default();
     let mut acct = CycleAccountant::default();
@@ -414,7 +425,7 @@ fn run_trace(mut args: std::env::Args) -> Result<(), String> {
     w.verify(&r.memory)
         .map_err(|e| format!("{}: {e}", w.name))?;
 
-    std::fs::write(&path, trace.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    std::fs::write(path, trace.to_json()).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "trace: {name} on {}: {} instructions in {} cycles -> {path}",
         w.name, r.instructions, r.cycles
@@ -432,88 +443,53 @@ fn run_trace(mut args: std::env::Args) -> Result<(), String> {
 /// Per-loop cache behaviour of one mechanism under one finite `--dcache`
 /// geometry, next to the perfect-memory cycles the paper's §2.2
 /// idealization would report for the same machine.
-fn run_cachesim(mut args: std::env::Args) -> Result<(), String> {
-    let mut name = "ruu".to_string();
-    let mut entries: usize = 15;
-    let mut spec = "64x2x4:20".to_string();
-    let mut pending: Option<&str> = None;
-    let suite = select_workloads(&mut args, &mut |arg| {
-        match pending.take() {
-            Some("--mechanism") => {
-                name = arg.to_string();
-                return Ok(true);
-            }
-            Some("--entries") => {
-                entries = arg.parse().map_err(|_| "--entries needs a number")?;
-                return Ok(true);
-            }
-            Some("--dcache") => {
-                spec = arg.to_string();
-                return Ok(true);
-            }
-            _ => {}
-        }
-        Ok(match arg {
-            "--mechanism" => {
-                pending = Some("--mechanism");
-                true
-            }
-            "--entries" => {
-                pending = Some("--entries");
-                true
-            }
-            "--dcache" => {
-                pending = Some("--dcache");
-                true
-            }
-            _ => false,
-        })
-    })?;
-    let dcache = DCacheConfig::parse(&spec).map_err(|e| e.to_string())?;
+fn run_cachesim(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let flags = Flags::parse(
+        args,
+        &["--mechanism", "--entries", "--dcache"],
+        &["--all-loops"],
+        true,
+    )?;
+    let name = flags.get("--mechanism").unwrap_or("ruu");
+    let entries = flags.number("--entries", 15)?;
+    let dcache = DCacheConfig::parse(flags.get("--dcache").unwrap_or("64x2x4:20"))
+        .map_err(|e| e.to_string())?;
     if dcache.is_perfect() {
         return Err(
             "cachesim wants a finite --dcache geometry (SETSxWAYSxLINE[:MISS[:HIT[:MSHRS]]])"
                 .to_string(),
         );
     }
-    let mechanism = mechanism_by_name(&name, entries, PredictorConfig::default())?;
+    let mechanism = mechanism_by_name(name, entries, PredictorConfig::default())?;
     let perfect_cfg = MachineConfig::paper();
     let cached_cfg = perfect_cfg.clone().with_dcache(dcache);
+    let jobs = [
+        Job::new(mechanism, perfect_cfg),
+        Job::new(mechanism, cached_cfg),
+    ];
+    let results = run_suite(flags.workloads()?, &jobs)?;
+    let (perfect, cached) = (&results[0], &results[1]);
 
     println!("cachesim: {name} under {dcache}");
     println!(
         "| {:<8} | {:>10} | {:>10} | {:>8} | {:>9} | {:>8} | {:>7} |",
         "loop", "perfect", "cached", "slowdown", "accesses", "hit rate", "MPKI"
     );
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
-    for w in &suite {
-        let run = |cfg: &MachineConfig| {
-            mechanism
-                .run(cfg, &w.program, w.memory.clone(), w.inst_limit)
-                .map_err(|e| format!("{}: {e}", w.name))
-        };
-        let base = run(&perfect_cfg)?;
-        let r = run(&cached_cfg)?;
-        w.verify(&r.memory)
-            .map_err(|e| format!("{}: {e}", w.name))?;
-        let s = &r.stats;
-        totals.0 += base.cycles;
-        totals.1 += r.cycles;
-        totals.2 += s.dcache_accesses;
-        totals.3 += s.dcache_misses;
-        totals.4 += r.instructions;
+    for (base, r) in perfect.workloads.iter().zip(&cached.workloads) {
         println!(
             "| {:<8} | {:>10} | {:>10} | {:>7.3}x | {:>9} | {:>7.1}% | {:>7.3} |",
-            w.name,
+            r.name,
             base.cycles,
             r.cycles,
             r.cycles as f64 / base.cycles as f64,
-            s.dcache_accesses,
-            100.0 * (s.dcache_hits as f64 / s.dcache_accesses.max(1) as f64),
-            1000.0 * s.dcache_misses as f64 / r.instructions as f64,
+            r.cache.accesses,
+            100.0 * (r.cache.hits as f64 / r.cache.accesses.max(1) as f64),
+            1000.0 * r.cache.misses as f64 / r.instructions as f64,
         );
     }
-    let (bc, cc, acc, miss, insts) = totals;
+    let (bc, cc) = (perfect.cycles, cached.cycles);
+    let c = cached.cache.unwrap_or_default();
+    let (acc, miss, insts) = (c.accesses, c.misses, cached.instructions);
     println!(
         "| {:<8} | {bc:>10} | {cc:>10} | {:>7.3}x | {acc:>9} | {:>7.1}% | {:>7.3} |",
         "total",
@@ -524,37 +500,35 @@ fn run_cachesim(mut args: std::env::Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs `jobs` as one engine grid over `suite`.
+fn run_suite(suite: Vec<Workload>, jobs: &[Job]) -> Result<Vec<JobResult>, String> {
+    let report = SweepEngine::new(suite)
+        .run_grid(jobs)
+        .map_err(|e| e.to_string())?;
+    Ok(report.jobs)
+}
+
 /// CBP-style trace-driven predictor evaluation: replays the golden
 /// `ruu::exec` branch stream of each selected workload through each
 /// selected predictor (plus a 64-set/4-way BTB), reporting accuracy,
 /// MPKI, BTB hit rate, and — for a single workload — the worst sites.
-fn run_cbp(mut args: std::env::Args) -> Result<(), String> {
-    let mut predictors: Vec<PredictorConfig> = Vec::new();
-    let mut sel: Option<String> = None;
-    let mut json = false;
-    let mut top: usize = 3;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--predictor" => {
-                let spec = args.next().ok_or("--predictor needs NAME[:SIZE]")?;
-                predictors.push(PredictorConfig::parse(&spec).map_err(|e| e.to_string())?);
-            }
-            "--loop" => sel = Some(args.next().ok_or("--loop needs a workload name")?),
-            "--all-loops" => sel = Some("all".to_string()),
-            "--json" => json = true,
-            "--top" => {
-                top = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--top needs a number")?;
-            }
-            other => return Err(format!("unknown option {other}\n{}", usage())),
-        }
-    }
+fn run_cbp(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let flags = Flags::parse(
+        args,
+        &["--predictor", "--loop", "--top"],
+        &["--all-loops", "--json"],
+        false,
+    )?;
+    let mut predictors: Vec<PredictorConfig> = flags
+        .all("--predictor")
+        .map(|spec| PredictorConfig::parse(spec).map_err(|e| e.to_string()))
+        .collect::<Result<_, _>>()?;
     if predictors.is_empty() {
         predictors = PredictorConfig::zoo();
     }
-    let suite = workloads(sel.as_deref().unwrap_or("all"))?;
+    let json = flags.has("--json");
+    let top: usize = flags.number("--top", 3)?;
+    let suite = flags.workloads()?;
 
     // Extract each workload's branch stream once; every predictor
     // replays the same events.
@@ -662,49 +636,19 @@ fn run_cbp(mut args: std::env::Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Workload selection shared by `lint` and `analyze`: `--all-loops` or a
-/// positional workload name / `.s` file (default: all loops).
-fn select_workloads(
-    args: &mut std::env::Args,
-    flag: &mut impl FnMut(&str) -> Result<bool, String>,
-) -> Result<Vec<Workload>, String> {
-    let mut sel: Option<String> = None;
-    for arg in args.by_ref() {
-        match arg.as_str() {
-            "--all-loops" => sel = Some("all".to_string()),
-            other => {
-                if !flag(other)? {
-                    if other.starts_with('-') {
-                        return Err(format!("unknown option {other}\n{}", usage()));
-                    }
-                    sel = Some(other.to_string());
-                }
-            }
-        }
-    }
-    workloads(sel.as_deref().unwrap_or("all"))
-}
-
 /// Statically lints the selected workloads, honouring inline waivers.
 /// Errors are always fatal; `--deny-warnings` makes warnings fatal too.
-fn run_lint(mut args: std::env::Args) -> Result<(), String> {
-    let mut deny_warnings = false;
-    let mut branch_view = false;
-    let suite = select_workloads(&mut args, &mut |arg| {
-        Ok(match arg {
-            "--deny-warnings" => {
-                deny_warnings = true;
-                true
-            }
-            "--branch-sites" => {
-                branch_view = true;
-                true
-            }
-            _ => false,
-        })
-    })?;
+fn run_lint(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let flags = Flags::parse(
+        args,
+        &[],
+        &["--all-loops", "--deny-warnings", "--branch-sites"],
+        true,
+    )?;
+    let deny_warnings = flags.has("--deny-warnings");
+    let suite = flags.workloads()?;
 
-    if branch_view {
+    if flags.has("--branch-sites") {
         // Static branch-site census: the upper bound on the per-site
         // tables the dynamic `cbp` replay can produce.
         println!(
@@ -773,57 +717,30 @@ fn run_lint(mut args: std::env::Args) -> Result<(), String> {
 
 /// Prints the per-workload dataflow-limit bound next to the cycles one
 /// mechanism achieves; fails if any run beats the bound.
-fn run_analyze(mut args: std::env::Args) -> Result<(), String> {
-    let mut name = "ruu".to_string();
-    let mut entries: usize = 15;
-    let mut pending: Option<&str> = None;
-    let suite = select_workloads(&mut args, &mut |arg| {
-        match pending.take() {
-            Some("--mechanism") => {
-                name = arg.to_string();
-                return Ok(true);
-            }
-            Some("--entries") => {
-                entries = arg.parse().map_err(|_| "--entries needs a number")?;
-                return Ok(true);
-            }
-            _ => {}
-        }
-        Ok(match arg {
-            "--mechanism" => {
-                pending = Some("--mechanism");
-                true
-            }
-            "--entries" => {
-                pending = Some("--entries");
-                true
-            }
-            _ => false,
-        })
-    })?;
-    let cfg = MachineConfig::paper();
-    let mechanism = mechanism_by_name(&name, entries, PredictorConfig::default())?;
+fn run_analyze(args: impl Iterator<Item = String>) -> Result<(), String> {
+    let flags = Flags::parse(args, &["--mechanism", "--entries"], &["--all-loops"], true)?;
+    let name = flags.get("--mechanism").unwrap_or("ruu");
+    let mechanism = mechanism_by_name(
+        name,
+        flags.number("--entries", 15)?,
+        PredictorConfig::default(),
+    )?;
+    let jobs = [Job::new(mechanism, MachineConfig::paper())];
+    let results = run_suite(flags.workloads()?, &jobs)?;
 
     println!(
         "| {:<8} | {:>12} | {:>10} | {:>10} | {:>10} | {:>10} |",
         "loop", "instructions", "crit path", "bound", "cycles", "% of limit"
     );
     let mut violations = 0usize;
-    for w in &suite {
-        let trace = w.golden_trace().map_err(|e| format!("{}: {e}", w.name))?;
-        let b = dataflow_bound(&trace, &cfg);
-        let sim = mechanism.build(&cfg);
-        let r = sim
-            .run(&w.program, w.memory.clone(), w.inst_limit)
-            .map_err(|e| format!("{}: {e}", w.name))?;
-        w.verify(&r.memory)
-            .map_err(|e| format!("{}: {e}", w.name))?;
+    for r in &results[0].workloads {
+        let b = &r.dataflow_bound;
         if r.cycles < b.bound {
             violations += 1;
         }
         println!(
             "| {:<8} | {:>12} | {:>10} | {:>10} | {:>10} | {:>9.1}% |",
-            w.name,
+            r.name,
             b.instructions,
             b.critical_path,
             b.bound,
@@ -839,85 +756,59 @@ fn run_analyze(mut args: std::env::Args) -> Result<(), String> {
     println!(
         "ok: cycles >= dataflow_bound for {} ({} workload(s))",
         name,
-        suite.len()
+        results[0].workloads.len()
     );
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    if std::env::args().nth(1).as_deref() == Some("sweep") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "sweep"
-        return run_sweep(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("trace") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "trace"
-        return run_trace(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("cachesim") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "cachesim"
-        return run_cachesim(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("cbp") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "cbp"
-        return run_cbp(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("lint") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "lint"
-        return run_lint(args);
-    }
-    if std::env::args().nth(1).as_deref() == Some("analyze") {
-        let mut args = std::env::args();
-        args.next(); // program name
-        args.next(); // "analyze"
-        return run_analyze(args);
-    }
-    let opts = parse_args()?;
+/// Runs one mechanism over the selected workloads, printing per-loop and
+/// total instructions, cycles and IPC.
+fn run_mechanism(name: &str, args: impl Iterator<Item = String>) -> Result<(), String> {
+    let flags = Flags::parse(
+        args,
+        &["--entries", "--paths", "--loadregs", "--predictor"],
+        &[],
+        true,
+    )?;
     let cfg = MachineConfig::paper()
-        .with_dispatch_paths(opts.paths)
-        .with_load_registers(opts.loadregs);
-    let suite = workloads(&opts.workload)?;
-
-    let e = opts.entries;
-    let mechanism = mechanism_by_name(&opts.mechanism, e, opts.predictor)?;
+        .with_dispatch_paths(flags.size("--paths", 1)?)
+        .with_load_registers(flags.size("--loadregs", 6)?);
+    let mechanism = mechanism_by_name(name, flags.number("--entries", 15)?, flags.predictor()?)?;
+    let results = run_suite(flags.workloads()?, &[Job::new(mechanism, cfg)])?;
 
     println!(
         "| {:<8} | {:>12} | {:>10} | {:>6} |",
         "loop", "instructions", "cycles", "IPC"
     );
-    let mut total_i = 0u64;
-    let mut total_c = 0u64;
-    for w in &suite {
-        let sim = mechanism.build(&cfg);
-        let r = sim
-            .run(&w.program, w.memory.clone(), w.inst_limit)
-            .map_err(|e| format!("{}: {e}", w.name))?;
-        w.verify(&r.memory)
-            .map_err(|e| format!("{}: {e}", w.name))?;
+    for r in &results[0].workloads {
         let (insts, cycles) = (r.instructions, r.cycles);
-        total_i += insts;
-        total_c += cycles;
         println!(
             "| {:<8} | {insts:>12} | {cycles:>10} | {:>6.3} |",
-            w.name,
+            r.name,
             insts as f64 / cycles as f64
         );
     }
+    let (total_i, total_c) = (results[0].instructions, results[0].cycles);
     println!(
         "| {:<8} | {total_i:>12} | {total_c:>10} | {:>6.3} |",
         "total",
         total_i as f64 / total_c as f64
     );
     Ok(())
+}
+
+fn run() -> Result<(), String> {
+    let mut args = std::env::args().skip(1);
+    let command = args.next().ok_or_else(usage)?;
+    match command.as_str() {
+        "sweep" => run_sweep(args),
+        "trace" => run_trace(args),
+        "cachesim" => run_cachesim(args),
+        "cbp" => run_cbp(args),
+        "lint" => run_lint(args),
+        "analyze" => run_analyze(args),
+        mechanism => run_mechanism(mechanism, args),
+    }
 }
 
 fn main() -> ExitCode {

@@ -146,6 +146,37 @@ fn analyze_cli_reports_bound_table_for_lll3() {
     assert!(stdout.contains("LLL3") && stdout.contains("% of limit"));
 }
 
+#[test]
+fn cli_rejects_bad_flags_with_an_error_not_a_panic() {
+    let cases: [&[&str]; 5] = [
+        // Zero machine sizes, which the config builders assert on.
+        &["ruu", "LLL3", "--paths", "0"],
+        &["ruu", "LLL3", "--loadregs", "0"],
+        &[
+            "sweep",
+            "--mechanism",
+            "ruu",
+            "--entries",
+            "4",
+            "--buses",
+            "0",
+        ],
+        // A trailing flag whose value never arrives.
+        &["analyze", "LLL3", "--mechanism"],
+        &["cachesim", "LLL3", "--dcache", "64x2x4:20", "--entries"],
+    ];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ruu-sim"))
+            .args(args)
+            .output()
+            .expect("run ruu-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: no message:\n{stderr}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

@@ -180,11 +180,20 @@ fn engine_sweep_matches_legacy_serial_sweep() {
     let engine_points: Vec<&JobResult> = report.jobs.iter().collect();
 
     assert_eq!(legacy.len(), engine_points.len());
-    for (l, e) in legacy.iter().zip(engine_points) {
-        assert_eq!(Some(l.entries), e.entries);
+    for ((l, e), &n) in legacy.iter().zip(engine_points).zip(&entries) {
+        assert_eq!(l.entries, Some(n));
+        assert_eq!(l.entries, e.entries);
         assert_eq!(l.cycles, e.cycles);
         assert_eq!(l.speedup.to_bits(), e.speedup.to_bits());
         assert_eq!(l.issue_rate.to_bits(), e.issue_rate.to_bits());
+        assert_eq!(l.stalls, e.stalls);
+        assert_eq!(l.workloads.len(), e.workloads.len());
+        for (lr, er) in l.workloads.iter().zip(&e.workloads) {
+            assert_eq!(lr.name, er.name);
+            assert_eq!(lr.cycles, er.cycles, "{}", lr.name);
+            assert_eq!(lr.instructions, er.instructions, "{}", lr.name);
+            assert_eq!(lr.dataflow_bound, er.dataflow_bound, "{}", lr.name);
+        }
     }
 }
 

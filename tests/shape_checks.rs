@@ -10,19 +10,29 @@
 //! 4. the RUU with bypass approaches the RSTU at large sizes (§6.1);
 //! 5. out-of-order mechanisms beat the simple baseline at moderate sizes.
 
+use ruu::engine::{Job, JobResult};
 use ruu::issue::{Bypass, Mechanism};
 use ruu::sim::MachineConfig;
-use ruu_bench::{harness, try_sweep};
+use ruu_bench::engine;
 
 const SIZES: [usize; 5] = [3, 6, 10, 30, 50];
 
-fn rstu(cfg: &MachineConfig, paths: u32) -> Vec<harness::SweepPoint> {
-    let cfg = cfg.clone().with_dispatch_paths(paths);
-    try_sweep(&cfg, &SIZES, |entries| Mechanism::Rstu { entries }).expect("RSTU sweep")
+/// One engine grid: `make` at every window size in `SIZES`.
+fn sweep(cfg: &MachineConfig, make: impl Fn(usize) -> Mechanism) -> Vec<JobResult> {
+    let jobs: Vec<Job> = SIZES
+        .iter()
+        .map(|&e| Job::new(make(e), cfg.clone()))
+        .collect();
+    engine().run_grid(&jobs).expect("sweep").jobs
 }
 
-fn ruu(cfg: &MachineConfig, bypass: Bypass) -> Vec<harness::SweepPoint> {
-    try_sweep(cfg, &SIZES, |entries| Mechanism::Ruu { entries, bypass }).expect("RUU sweep")
+fn rstu(cfg: &MachineConfig, paths: u32) -> Vec<JobResult> {
+    let cfg = cfg.clone().with_dispatch_paths(paths);
+    sweep(&cfg, |entries| Mechanism::Rstu { entries })
+}
+
+fn ruu(cfg: &MachineConfig, bypass: Bypass) -> Vec<JobResult> {
+    sweep(cfg, |entries| Mechanism::Ruu { entries, bypass })
 }
 
 #[test]
@@ -40,7 +50,7 @@ fn paper_shapes_hold() {
         for w in pts.windows(2) {
             assert!(
                 w[1].speedup >= w[0].speedup * 0.995,
-                "speedup should not fall when the window grows: {} -> {} at {} entries",
+                "speedup should not fall when the window grows: {} -> {} at {:?} entries",
                 w[0].speedup,
                 w[1].speedup,
                 w[1].entries
@@ -159,9 +169,10 @@ fn baseline_issue_rate_is_dependency_bound() {
     // dependencies (theirs: 0.438; ours is lower because the hand-coded
     // kernels are leaner — see EXPERIMENTS.md).
     let cfg = MachineConfig::paper();
-    let rows = harness::try_baseline_rows(&cfg).expect("baseline");
-    let total = rows.last().unwrap();
-    let rate = total.issue_rate();
+    let grid = engine()
+        .run_grid(&[Job::new(Mechanism::Simple, cfg)])
+        .expect("baseline");
+    let rate = grid.jobs[0].issue_rate;
     assert!(
         (0.2..0.6).contains(&rate),
         "baseline rate should be far below 1 IPC: {rate}"
