@@ -16,9 +16,8 @@ use std::sync::OnceLock;
 
 use ruu_analysis::dataflow_bound;
 use ruu_engine::{EngineError, Job, JobResult, SweepEngine, SweepReport, WorkloadRow};
-use ruu_exec::ArchState;
 use ruu_issue::Mechanism;
-use ruu_sim_core::{DCacheConfig, MachineConfig, StallHistogram};
+use ruu_sim_core::{DCacheConfig, MachineConfig};
 use ruu_workloads::livermore;
 
 /// The process-wide sweep engine: Livermore suite assembled once,
@@ -64,21 +63,14 @@ pub fn sweep_serial(
             .iter()
             .map(|w| {
                 let what = format!("{} on {}", job.label, w.name);
-                let mut stalls = StallHistogram::default();
                 let r = sim
-                    .run_observed(
-                        ArchState::new(),
-                        w.memory.clone(),
-                        &w.program,
-                        w.inst_limit,
-                        &mut stalls,
-                    )
+                    .run(&w.program, w.memory.clone(), w.inst_limit)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 w.verify(&r.memory)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 let trace = w.golden_trace().unwrap_or_else(|e| panic!("{what}: {e}"));
                 let bound = dataflow_bound(&trace, &job.config);
-                WorkloadRow::new(w.name, &r, stalls, bound)
+                WorkloadRow::new(w.name, &r, bound)
             })
             .collect()
     };

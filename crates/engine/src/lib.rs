@@ -54,14 +54,16 @@
 //! # Ok::<(), ruu_engine::EngineError>(())
 //! ```
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ruu_analysis::{dataflow_bound, DataflowBound};
-use ruu_exec::{ArchState, ExecError};
+use ruu_exec::ExecError;
 use ruu_issue::{Mechanism, SimError};
 use ruu_sim_core::{MachineConfig, RunResult, StallHistogram, StallReason};
 use ruu_workloads::{livermore, VerifyError, Workload};
@@ -73,7 +75,8 @@ use json::JsonWriter;
 /// A failure while executing one (job × workload) simulation unit.
 #[derive(Debug, Clone)]
 pub enum EngineError {
-    /// The simulator itself failed (instruction limit, deadlock guard).
+    /// The simulator itself failed (instruction limit, deadlock guard,
+    /// broken accounting identity).
     Sim {
         /// Label of the failing job.
         job: String,
@@ -99,6 +102,17 @@ pub enum EngineError {
         /// The underlying interpreter error.
         err: ExecError,
     },
+    /// The unit panicked (a failed assertion in a simulator, e.g. a
+    /// zero-sized window). The rest of the grid still ran.
+    Panic {
+        /// Label of the failing job (`baseline(simple)` for the memoized
+        /// baseline runs).
+        job: String,
+        /// Workload the panic occurred on.
+        workload: &'static str,
+        /// The panic message.
+        message: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -113,6 +127,11 @@ impl fmt::Display for EngineError {
             EngineError::Golden { workload, err } => {
                 write!(f, "golden trace for {workload} failed: {err}")
             }
+            EngineError::Panic {
+                job,
+                workload,
+                message,
+            } => write!(f, "job {job} panicked on {workload}: {message}"),
         }
     }
 }
@@ -225,8 +244,8 @@ pub struct WorkloadRow {
     /// `ruu_analysis::dataflow_bound`): its critical path, its golden
     /// instruction count, and the lower bound on cycles they imply.
     pub dataflow_bound: DataflowBound,
-    /// The run's issue-side stall histogram: issue cycles, per-reason
-    /// stall cycles and window occupancy.
+    /// The run's issue-side tally (`RunStats::tally`): issue cycles,
+    /// per-reason stall cycles and window occupancy.
     pub stalls: StallHistogram,
     /// The run's branch-prediction counters (all zero when the mechanism
     /// does not speculate).
@@ -236,21 +255,16 @@ pub struct WorkloadRow {
 }
 
 impl WorkloadRow {
-    /// The row for one verified run of `name`, observed by `stalls`.
+    /// The row for one verified run of `name`.
     #[must_use]
-    pub fn new(
-        name: &'static str,
-        run: &RunResult,
-        stalls: StallHistogram,
-        dataflow_bound: DataflowBound,
-    ) -> Self {
+    pub fn new(name: &'static str, run: &RunResult, dataflow_bound: DataflowBound) -> Self {
         let s = &run.stats;
         WorkloadRow {
             name,
             cycles: run.cycles,
             instructions: run.instructions,
             dataflow_bound,
-            stalls,
+            stalls: s.tally.clone(),
             branch: BranchSummary {
                 predicts: s.predicted_branches,
                 mispredicts: s.mispredicted_branches,
@@ -351,12 +365,6 @@ impl JobResult {
             cache: (!job.config.dcache.is_perfect()).then_some(cache),
             workloads,
         }
-    }
-
-    /// Total stall cycles across all reasons.
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls.iter().map(|&(_, n)| n).sum()
     }
 }
 
@@ -510,18 +518,31 @@ impl SweepEngine {
     }
 
     /// Runs `n_units` independent units of `f` across the worker pool,
-    /// returning results in unit order regardless of scheduling.
-    fn run_pool<T, F>(&self, n_units: usize, f: F) -> Vec<T>
+    /// returning results in unit order regardless of scheduling. A unit
+    /// that panics yields [`EngineError::Panic`] with the `(job,
+    /// workload)` that `label` names for it; the other units still run.
+    fn run_pool<T, F, L>(&self, n_units: usize, label: L, f: F) -> Vec<Result<T, EngineError>>
     where
         T: Send,
-        F: Fn(usize) -> T + Sync,
+        F: Fn(usize) -> Result<T, EngineError> + Sync,
+        L: Fn(usize) -> (String, &'static str) + Sync,
     {
+        let f = |i| {
+            catch_unwind(AssertUnwindSafe(|| f(i))).unwrap_or_else(|payload| {
+                let (job, workload) = label(i);
+                Err(EngineError::Panic {
+                    job,
+                    workload,
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+        };
         let workers = self.workers.min(n_units).max(1);
         if workers == 1 {
             return (0..n_units).map(f).collect();
         }
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..n_units).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Mutex<Option<_>>> = (0..n_units).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
@@ -544,25 +565,17 @@ impl SweepEngine {
             .collect()
     }
 
-    /// Runs one (mechanism, config, workload) triple under a stall
-    /// histogram and verifies the result against the workload's mirror
-    /// computation.
+    /// Runs one (mechanism, config, workload) triple, unobserved (the
+    /// core checks its own accounting), and verifies the result against
+    /// the workload's mirror computation.
     fn run_unit(
         label: &str,
         mechanism: Mechanism,
         config: &MachineConfig,
         w: &Workload,
-    ) -> Result<(RunResult, StallHistogram), EngineError> {
-        let mut hist = StallHistogram::default();
+    ) -> Result<RunResult, EngineError> {
         let r = mechanism
-            .build(config)
-            .run_observed(
-                ArchState::new(),
-                w.memory.clone(),
-                &w.program,
-                w.inst_limit,
-                &mut hist,
-            )
+            .run(config, &w.program, w.memory.clone(), w.inst_limit)
             .map_err(|err| EngineError::Sim {
                 job: label.to_string(),
                 workload: w.name,
@@ -573,7 +586,7 @@ impl SweepEngine {
             workload: w.name,
             err,
         })?;
-        Ok((r, hist))
+        Ok(r)
     }
 
     /// Returns the memo of every configuration in `configs` (input
@@ -598,12 +611,12 @@ impl SweepEngine {
         };
         let per_cfg = self.suite.len();
         let n_units = missing.len() * per_cfg;
-        let outs = self.run_pool(n_units, |i| {
+        const BASELINE: &str = "baseline(simple)";
+        let label = |i: usize| (BASELINE.to_string(), self.suite[i % per_cfg].name);
+        let outs = self.run_pool(n_units, label, |i| {
             let cfg = missing[i / per_cfg];
             let w = &self.suite[i % per_cfg];
-            let cycles = Self::run_unit("baseline(simple)", Mechanism::Simple, cfg, w)?
-                .0
-                .cycles;
+            let cycles = Self::run_unit(BASELINE, Mechanism::Simple, cfg, w)?.cycles;
             let trace = w.golden_trace().map_err(|err| EngineError::Golden {
                 workload: w.name,
                 err,
@@ -646,11 +659,17 @@ impl SweepEngine {
 
         let per_job = self.suite.len();
         let n_units = jobs.len() * per_job;
-        let outs = self.run_pool(n_units, |i| {
+        let label = |i: usize| {
+            (
+                jobs[i / per_job].label.clone(),
+                self.suite[i % per_job].name,
+            )
+        };
+        let outs = self.run_pool(n_units, label, |i| {
             let (ji, wi) = (i / per_job, i % per_job);
             let (job, w) = (&jobs[ji], &self.suite[wi]);
-            let (r, stalls) = Self::run_unit(&job.label, job.mechanism, &job.config, w)?;
-            Ok(WorkloadRow::new(w.name, &r, stalls, memos[ji].bounds[wi]))
+            let r = Self::run_unit(&job.label, job.mechanism, &job.config, w)?;
+            Ok(WorkloadRow::new(w.name, &r, memos[ji].bounds[wi]))
         });
         let mut outs = outs.into_iter();
         let mut results = Vec::with_capacity(jobs.len());
@@ -678,6 +697,16 @@ impl SweepEngine {
             },
         })
     }
+}
+
+/// The message a panic carried (`panic!` payloads are `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// One worker per available hardware thread (1 if unknown).
@@ -831,8 +860,9 @@ mod tests {
     #[test]
     fn job_stalls_account_for_every_cycle() {
         // Each issue cycle issues exactly one instruction, so per job
-        // cycles == instructions + Σ stall_cycles — the same identity the
-        // CycleAccountant enforces per run, here over the aggregate.
+        // cycles == instructions + Σ stall_cycles — the identity every
+        // core checks per run (`RunStats::verify`), here over the
+        // aggregate.
         let engine = SweepEngine::new(mini_suite()).with_workers(4);
         let jobs = vec![
             Job::new(Mechanism::Simple, MachineConfig::paper()),
@@ -843,7 +873,7 @@ mod tests {
         for j in &report.jobs {
             assert_eq!(
                 j.cycles,
-                j.instructions + j.total_stalls(),
+                j.instructions + j.stalls.iter().map(|&(_, n)| n).sum::<u64>(),
                 "cycle accounting for {}",
                 j.label
             );
@@ -1023,6 +1053,37 @@ mod tests {
         match err {
             EngineError::Sim { workload, .. } => assert_eq!(workload, "mini2"),
             other => panic!("unexpected error {other}"),
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_an_error_with_its_label() {
+        // A zero-entry RSTU fails the simulator's size assertion. The grid
+        // must come back as a labelled error at any worker count, not
+        // unwind through the pool.
+        let jobs = [
+            Job::new(Mechanism::Rstu { entries: 4 }, MachineConfig::paper()),
+            Job::new(Mechanism::Rstu { entries: 0 }, MachineConfig::paper()),
+        ];
+        for workers in [1, 2] {
+            let engine = SweepEngine::new(mini_suite()).with_workers(workers);
+            match engine.run_grid(&jobs) {
+                Err(EngineError::Panic {
+                    job,
+                    workload,
+                    message,
+                }) => {
+                    assert_eq!(job, "rstu(0)", "{workers} workers");
+                    assert_eq!(workload, "mini1", "{workers} workers");
+                    assert!(
+                        message.contains("every window size must be at least 1"),
+                        "{workers} workers: {message}"
+                    );
+                }
+                other => panic!("{workers} workers: expected a panic error, got {other:?}"),
+            }
+            // The engine stays usable: its memo mutex was never poisoned.
+            assert!(engine.run_grid(&jobs[..1]).is_ok(), "{workers} workers");
         }
     }
 }

@@ -305,11 +305,9 @@ impl Core<'_> {
                 break;
             }
             if let Some(reason) = self.issue_stage(slot)? {
-                self.stats.stall(reason);
-                self.obs.stall(cycle, reason);
+                self.stall(reason);
             }
-            self.stats.observe_occupancy(occ);
-            self.obs.cycle_end(cycle, occ);
+            self.end_cycle(occ);
             self.cycle += 1;
         }
         self.state.pc = self.frontend.pc();
@@ -317,6 +315,9 @@ impl Core<'_> {
         self.stats.dcache_accesses = cs.accesses;
         self.stats.dcache_hits = cs.hits;
         self.stats.dcache_misses = cs.misses;
+        self.stats
+            .verify(self.cycle, self.sim.config.mispredict_penalty)
+            .map_err(SimError::Accounting)?;
         Ok(RunResult {
             cycles: self.cycle,
             instructions: self.issued,
@@ -326,10 +327,25 @@ impl Core<'_> {
         })
     }
 
-    fn issued_one(&mut self) {
-        self.obs.issue(self.cycle, self.issued);
+    /// Issues the next instruction and returns its sequence number. Like
+    /// `stall` and `end_cycle`, it feeds the run's tally and the observer
+    /// together, so each sees each event once.
+    fn issued_one(&mut self) -> u64 {
+        let seq = self.issued;
+        self.stats.tally.issue(self.cycle, seq);
+        self.obs.issue(self.cycle, seq);
         self.issued += 1;
-        self.stats.issue_cycles += 1;
+        seq
+    }
+
+    fn stall(&mut self, reason: StallReason) {
+        self.stats.tally.stall(self.cycle, reason);
+        self.obs.stall(self.cycle, reason);
+    }
+
+    fn end_cycle(&mut self, occupancy: u32) {
+        self.stats.tally.cycle_end(self.cycle, occupancy);
+        self.obs.cycle_end(self.cycle, occupancy);
     }
 
     /// Resolves `inst` if its condition register is readable, else
@@ -440,9 +456,9 @@ impl Core<'_> {
                 commit
             };
         }
-        self.obs.issue(cycle, self.issued);
-        self.obs.dispatch(cycle, self.issued, fu, complete);
-        self.inflight.push((complete, commit, self.issued));
+        let seq = self.issued_one();
+        self.obs.dispatch(cycle, seq, fu, complete);
+        self.inflight.push((complete, commit, seq));
 
         // Function (in-order issue with readable operands makes eager
         // architectural update safe):
@@ -455,8 +471,6 @@ impl Core<'_> {
             let v = semantics::alu_result(inst.opcode, s1, s2, inst.imm);
             self.state.set_reg(d, v);
         }
-        self.issued += 1;
-        self.stats.issue_cycles += 1;
         self.frontend.advance();
         Ok(None)
     }

@@ -29,6 +29,8 @@
 
 use std::fmt;
 
+use ruu_sim_core::AccountingViolation;
+
 mod common;
 pub mod in_order;
 pub mod mechanism;
@@ -43,7 +45,7 @@ pub use simulator::IssueSimulator;
 pub use tag_unit::{TagRetirement, TagUnitModel, TuEntry};
 
 /// Errors from the timing simulators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// More than `limit` dynamic instructions issued (infinite-loop
     /// guard).
@@ -57,6 +59,9 @@ pub enum SimError {
         /// Cycle at which progress stopped.
         cycle: u64,
     },
+    /// The run finished, but its tally breaks an accounting identity
+    /// (see `RunStats::verify`): a simulator bug.
+    Accounting(Box<AccountingViolation>),
 }
 
 impl fmt::Display for SimError {
@@ -68,6 +73,7 @@ impl fmt::Display for SimError {
             SimError::Deadlock { cycle } => {
                 write!(f, "no forward progress near cycle {cycle} (simulator bug)")
             }
+            SimError::Accounting(v) => write!(f, "{v} (simulator bug)"),
         }
     }
 }

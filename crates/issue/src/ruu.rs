@@ -532,9 +532,21 @@ impl<'a> Core<'a> {
         self.events.entry(cycle).or_default().push(ev);
     }
 
+    /// Feeds an issue to the run's tally and the observer; `stall` and
+    /// `end_cycle` do the same for their events, so each sees each once.
+    fn issued(&mut self, seq: u64) {
+        self.stats.tally.issue(self.cycle, seq);
+        self.obs.issue(self.cycle, seq);
+    }
+
     fn stall(&mut self, reason: StallReason) {
-        self.stats.stall(reason);
+        self.stats.tally.stall(self.cycle, reason);
         self.obs.stall(self.cycle, reason);
+    }
+
+    fn end_cycle(&mut self, occupancy: u32) {
+        self.stats.tally.cycle_end(self.cycle, occupancy);
+        self.obs.cycle_end(self.cycle, occupancy);
     }
 
     /// A broadcast on either bus gates waiting stations and waiting
@@ -918,8 +930,7 @@ impl<'a> Core<'a> {
             };
             match b.assumed_taken {
                 None => {
-                    self.obs.issue(self.cycle, b.seq);
-                    self.stats.issue_cycles += 1;
+                    self.issued(b.seq);
                     self.redirect(actual_pc, self.branch_penalty(taken));
                     return true;
                 }
@@ -928,8 +939,8 @@ impl<'a> Core<'a> {
                     self.squash(&b);
                     // The current cycle and the `mispredict_penalty` cycles
                     // after it are all misprediction repair:
-                    // `repair_stalls == flushes * (penalty + 1)` is the
-                    // invariant `FlushAccountant` checks.
+                    // `repair_stalls == mispredictions * (penalty + 1)` is
+                    // the flush identity `RunStats::verify` checks.
                     self.redirect(actual_pc, self.cfg.mispredict_penalty);
                     self.repair_until = self.next_fetch_cycle;
                     break; // younger branches were squashed with everything else
@@ -1163,9 +1174,8 @@ impl<'a> Core<'a> {
         if is_mem {
             self.mem_queue.push_back(seq);
         }
-        self.obs.issue(self.cycle, seq);
+        self.issued(seq);
         self.seq += 1;
-        self.stats.issue_cycles += 1;
         self.pc += 1;
         Ok(())
     }
@@ -1202,8 +1212,7 @@ impl<'a> Core<'a> {
         });
         match assumed_taken {
             Some(taken) => {
-                self.obs.issue(self.cycle, self.seq);
-                self.stats.issue_cycles += 1;
+                self.issued(self.seq);
                 let next = if taken { target } else { self.pc + 1 };
                 self.redirect(next, bubble);
             }
@@ -1225,7 +1234,6 @@ impl<'a> Core<'a> {
         loop {
             self.broadcasts.clear();
             let occ = self.window.len() as u32;
-            self.stats.observe_occupancy(occ);
 
             self.phase_completions();
             self.phase_addr_gen();
@@ -1248,7 +1256,7 @@ impl<'a> Core<'a> {
                 return Err(SimError::Deadlock { cycle: self.cycle });
             }
 
-            self.obs.cycle_end(self.cycle, occ);
+            self.end_cycle(occ);
             self.cycle += 1;
             if self.drained() {
                 break;
@@ -1265,6 +1273,9 @@ impl<'a> Core<'a> {
         self.stats.dcache_accesses = cs.accesses;
         self.stats.dcache_hits = cs.hits;
         self.stats.dcache_misses = cs.misses;
+        self.stats
+            .verify(self.cycle, self.cfg.mispredict_penalty)
+            .map_err(SimError::Accounting)?;
         Ok(RunOutcome::Completed(RunResult {
             cycles: self.cycle,
             instructions: self.completed,

@@ -30,7 +30,9 @@ pub trait IssueSimulator: Send {
     ///
     /// # Errors
     /// [`SimError::InstLimit`] if more than `limit` dynamic instructions
-    /// issue; [`SimError::Deadlock`] on internal lack of progress.
+    /// issue; [`SimError::Deadlock`] on internal lack of progress;
+    /// [`SimError::Accounting`] if the finished run breaks an accounting
+    /// identity (`RunStats::verify`).
     fn run_observed(
         &self,
         state: ArchState,
@@ -95,14 +97,18 @@ mod tests {
 
     #[test]
     fn run_observed_satisfies_cycle_accounting() {
-        use ruu_sim_core::CycleAccountant;
+        use ruu_sim_core::StallHistogram;
         let p = tiny_program();
         for sim in one_of_each(&MachineConfig::paper()) {
-            let mut acct = CycleAccountant::default();
+            let mut hist = StallHistogram::default();
             let r = sim
-                .run_observed(ArchState::new(), Memory::new(1 << 10), &p, 1_000, &mut acct)
+                .run_observed(ArchState::new(), Memory::new(1 << 10), &p, 1_000, &mut hist)
                 .unwrap();
-            acct.verify(r.cycles).unwrap();
+            hist.verify(r.cycles).unwrap();
+            assert_eq!(
+                hist, r.stats.tally,
+                "the observer sees what the core tallies"
+            );
         }
     }
 

@@ -16,12 +16,15 @@
 //!   retires the §2.2 perfect-memory idealization: set-associative LRU
 //!   lookup with hit/miss latencies and bounded outstanding misses, with
 //!   a bit-identical `Perfect` default;
-//! * [`RunStats`] / [`RunResult`] — issue-rate accounting and stall
-//!   breakdowns common to every simulator;
+//! * [`RunStats`] / [`RunResult`] — the counters common to every
+//!   simulator. The issue side is one [`StallHistogram`] tally (issue
+//!   cycles, stall cycles per [`StallReason`], occupancy), which every
+//!   core checks with [`RunStats::verify`] before returning: every cycle
+//!   issues or stalls for one reason, and every misprediction costs one
+//!   repair window;
 //! * [`PipelineObserver`] — per-cycle pipeline event hooks (fetch, issue,
-//!   dispatch, complete, commit, flush, stall, cycle end) with the
-//!   [`CycleAccountant`], [`StallHistogram`] and [`ChromeTraceObserver`]
-//!   implementations.
+//!   dispatch, complete, commit, flush, stall, cycle end), with
+//!   [`NullObserver`] and [`StallHistogram`] as implementations.
 
 mod bus;
 mod cache;
@@ -36,8 +39,5 @@ pub use cache::{CachePlan, CacheStats, DCache, DCacheConfig, DCacheError};
 pub use config::MachineConfig;
 pub use fu::FuPool;
 pub use loadregs::{LoadRegUnit, LrOutcome, MemOpKind, OpId};
-pub use observe::{
-    AccountingViolation, ChromeTraceObserver, CycleAccountant, FlushAccountant, FlushViolation,
-    NullObserver, PipelineObserver, StallHistogram, Tee,
-};
+pub use observe::{AccountingViolation, NullObserver, PipelineObserver, StallHistogram};
 pub use stats::{RunResult, RunStats, StallReason};

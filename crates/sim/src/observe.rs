@@ -1,4 +1,4 @@
-//! Per-cycle pipeline observability.
+//! Per-cycle pipeline observability and the issue-side tally.
 //!
 //! Every issue-mechanism simulator exposes its canonical pipeline events
 //! through the [`PipelineObserver`] trait: an observer is handed to
@@ -11,10 +11,12 @@
 //! cycles == issue_cycles + Σ stall_cycles
 //! ```
 //!
-//! — the invariant [`CycleAccountant`] enforces. Two further observers are
-//! provided: [`StallHistogram`] (per-reason stall breakdown for bench
-//! tables) and [`ChromeTraceObserver`] (Chrome `trace_event` JSON for
-//! `chrome://tracing`, driven by the `ruu-sim trace` subcommand).
+//! [`StallHistogram`] is the tally of those events. Each core keeps one
+//! in its `RunStats` and checks this identity on it (and the flush
+//! identity for mispredictions) before every run returns, so a broken
+//! run is an error, not a wrong number. Attached as an observer, a
+//! second histogram checks the event stream itself. The Chrome-trace
+//! observer lives in `ruu-engine`, next to the JSON writer it uses.
 //!
 //! All hooks have no-op defaults, so an observer implements only what it
 //! needs, and the null observer used by the unobserved entry points costs
@@ -70,86 +72,47 @@ pub trait PipelineObserver {
     fn cycle_end(&mut self, _cycle: u64, _occupancy: u32) {}
 }
 
-/// Observer that ignores every event; used by the unobserved `run` /
-/// `run_from` entry points.
+/// Observer that ignores every event; used by the unobserved
+/// `IssueSimulator::run` entry point.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
 impl PipelineObserver for NullObserver {}
 
-/// Fans every event out to two observers (e.g. a [`CycleAccountant`]
-/// alongside a [`ChromeTraceObserver`]).
-pub struct Tee<'a> {
-    a: &'a mut dyn PipelineObserver,
-    b: &'a mut dyn PipelineObserver,
-}
-
-impl<'a> Tee<'a> {
-    /// Pairs two observers.
-    pub fn new(a: &'a mut dyn PipelineObserver, b: &'a mut dyn PipelineObserver) -> Self {
-        Tee { a, b }
-    }
-}
-
-impl PipelineObserver for Tee<'_> {
-    fn fetch(&mut self, cycle: u64, pc: u32) {
-        self.a.fetch(cycle, pc);
-        self.b.fetch(cycle, pc);
-    }
-    fn issue(&mut self, cycle: u64, seq: u64) {
-        self.a.issue(cycle, seq);
-        self.b.issue(cycle, seq);
-    }
-    fn dispatch(&mut self, cycle: u64, seq: u64, fu: FuClass, complete_at: u64) {
-        self.a.dispatch(cycle, seq, fu, complete_at);
-        self.b.dispatch(cycle, seq, fu, complete_at);
-    }
-    fn complete(&mut self, cycle: u64, seq: u64) {
-        self.a.complete(cycle, seq);
-        self.b.complete(cycle, seq);
-    }
-    fn commit(&mut self, cycle: u64, seq: u64) {
-        self.a.commit(cycle, seq);
-        self.b.commit(cycle, seq);
-    }
-    fn flush(&mut self, cycle: u64, squashed: u64) {
-        self.a.flush(cycle, squashed);
-        self.b.flush(cycle, squashed);
-    }
-    fn stall(&mut self, cycle: u64, reason: StallReason) {
-        self.a.stall(cycle, reason);
-        self.b.stall(cycle, reason);
-    }
-    fn mem_access(&mut self, cycle: u64, addr: u64, hit: bool, latency: u64) {
-        self.a.mem_access(cycle, addr, hit, latency);
-        self.b.mem_access(cycle, addr, hit, latency);
-    }
-    fn cycle_end(&mut self, cycle: u64, occupancy: u32) {
-        self.a.cycle_end(cycle, occupancy);
-        self.b.cycle_end(cycle, occupancy);
-    }
-}
-
-/// Cycle-accounting report for a run that violated the identity
-/// `cycles == issue_cycles + Σ stall_cycles`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Report of a run whose tally breaks an accounting identity: the cycle
+/// identity `cycles == issue_cycles + Σ stall_cycles` (with one
+/// `cycle_end` per cycle), or the flush identity
+/// `MispredictRepair stalls == mispredicted × (mispredict_penalty + 1)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccountingViolation {
     /// Total cycles the run reported.
     pub cycles: u64,
-    /// Issue events the accountant observed.
+    /// Issue events tallied.
     pub issue_cycles: u64,
-    /// Stall events observed, per reason (indexed like
+    /// Stall events tallied, per reason (indexed like
     /// [`StallReason::ALL`]).
     pub stall_cycles: [u64; StallReason::ALL.len()],
-    /// `cycle_end` callbacks observed (should equal `cycles`).
+    /// `cycle_end` events tallied (should equal `cycles`).
     pub cycles_seen: u64,
+    /// Mispredicted branches the run reported (zero when only the cycle
+    /// identity was checked).
+    pub mispredicted: u64,
+    /// `MispredictRepair` stalls those mispredictions imply (the tallied
+    /// count itself when only the cycle identity was checked).
+    pub expected_repair_stalls: u64,
 }
 
 impl AccountingViolation {
-    /// Total observed stall events across all reasons.
+    /// Total tallied stall events across all reasons.
     #[must_use]
     pub fn total_stalls(&self) -> u64 {
         self.stall_cycles.iter().sum()
+    }
+
+    /// Tallied `MispredictRepair` stalls.
+    #[must_use]
+    pub fn repair_stalls(&self) -> u64 {
+        self.stall_cycles[StallReason::MispredictRepair.idx()]
     }
 }
 
@@ -157,7 +120,7 @@ impl fmt::Display for AccountingViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cycle accounting violated: cycles={} but issue_cycles={} + stalls={} = {} \
+            "cycle accounting violated: cycles={} vs issue_cycles={} + stalls={} = {} \
              ({} cycle_end events;",
             self.cycles,
             self.issue_cycles,
@@ -171,196 +134,34 @@ impl fmt::Display for AccountingViolation {
                 write!(f, " {r}={n}")?;
             }
         }
-        write!(f, ")")
+        write!(f, ")")?;
+        if self.repair_stalls() != self.expected_repair_stalls {
+            write!(
+                f,
+                "; {} mispredictions imply {} mispredict-repair stalls",
+                self.mispredicted, self.expected_repair_stalls
+            )?;
+        }
+        Ok(())
     }
 }
 
 impl std::error::Error for AccountingViolation {}
 
-/// Observer that enforces the cycle-accounting identity: every simulated
-/// cycle must be attributed to exactly one issue or one stall.
+/// The tally of a run's decode/issue stage: issue cycles, stall cycles
+/// per [`StallReason`], `cycle_end` events, and window occupancy.
 ///
-/// Attach it via `run_observed`, then call [`CycleAccountant::check`] with
-/// the run's cycle count: in debug builds a violation panics (so tests and
-/// development runs fail loudly); in release builds the structured
-/// [`AccountingViolation`] report is returned for the caller to handle.
-#[derive(Debug, Default, Clone)]
-pub struct CycleAccountant {
-    issue_cycles: u64,
-    stall_cycles: [u64; StallReason::ALL.len()],
-    cycles_seen: u64,
-}
-
-impl CycleAccountant {
-    /// Issue events observed so far.
-    #[must_use]
-    pub fn issue_cycles(&self) -> u64 {
-        self.issue_cycles
-    }
-
-    /// Stall events observed so far, across all reasons.
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.stall_cycles.iter().sum()
-    }
-
-    /// `cycle_end` events observed so far.
-    #[must_use]
-    pub fn cycles_seen(&self) -> u64 {
-        self.cycles_seen
-    }
-
-    /// Verifies the identity against a run's final cycle count without
-    /// panicking; returns the structured report on violation.
-    ///
-    /// Both equalities must hold: the attributed events must sum to
-    /// `cycles`, and the observer must have seen exactly one `cycle_end`
-    /// per cycle (catching simulators that drop or double-count cycles).
-    pub fn verify(&self, cycles: u64) -> Result<(), AccountingViolation> {
-        if self.issue_cycles + self.total_stalls() == cycles && self.cycles_seen == cycles {
-            Ok(())
-        } else {
-            Err(AccountingViolation {
-                cycles,
-                issue_cycles: self.issue_cycles,
-                stall_cycles: self.stall_cycles,
-                cycles_seen: self.cycles_seen,
-            })
-        }
-    }
-
-    /// Like [`CycleAccountant::verify`], but panics on violation in debug
-    /// builds.
-    pub fn check(&self, cycles: u64) -> Result<(), AccountingViolation> {
-        match self.verify(cycles) {
-            Ok(()) => Ok(()),
-            Err(v) => {
-                if cfg!(debug_assertions) {
-                    panic!("{v}");
-                }
-                Err(v)
-            }
-        }
-    }
-}
-
-impl PipelineObserver for CycleAccountant {
-    fn issue(&mut self, _cycle: u64, _seq: u64) {
-        self.issue_cycles += 1;
-    }
-    fn stall(&mut self, _cycle: u64, reason: StallReason) {
-        self.stall_cycles[reason.idx()] += 1;
-    }
-    fn cycle_end(&mut self, _cycle: u64, _occupancy: u32) {
-        self.cycles_seen += 1;
-    }
-}
-
-/// Flush-accounting report for a run whose squashes did not line up with
-/// its recorded mispredictions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlushViolation {
-    /// Flush events observed.
-    pub flushes: u64,
-    /// Mispredicted branches the run reported.
-    pub mispredicted: u64,
-    /// `MispredictRepair` stall cycles observed.
-    pub repair_stalls: u64,
-    /// Repair stalls the misprediction count implies
-    /// (`flushes * (penalty + 1)`).
-    pub expected_repair_stalls: u64,
-}
-
-impl fmt::Display for FlushViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "flush accounting violated: {} flushes vs {} recorded mispredictions; \
-             {} mispredict-repair stalls vs {} expected",
-            self.flushes, self.mispredicted, self.repair_stalls, self.expected_repair_stalls,
-        )
-    }
-}
-
-impl std::error::Error for FlushViolation {}
-
-/// Observer that ties every pipeline flush back to a recorded branch
-/// misprediction.
-///
-/// A speculative machine may only squash state because a predicted branch
-/// resolved the other way, and each squash must stall fetch for exactly
-/// the redirect window (`mispredict_penalty + 1` cycles, charged as
-/// [`StallReason::MispredictRepair`]). [`FlushAccountant::verify`] checks
-/// both identities against the run's reported misprediction count:
-///
-/// ```text
-/// flushes       == mispredicted_branches
-/// repair_stalls == flushes * (mispredict_penalty + 1)
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct FlushAccountant {
-    flushes: u64,
-    squashed: u64,
-    repair_stalls: u64,
-}
-
-impl FlushAccountant {
-    /// Flush events observed so far.
-    #[must_use]
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Total window entries squashed across all flushes.
-    #[must_use]
-    pub fn squashed(&self) -> u64 {
-        self.squashed
-    }
-
-    /// `MispredictRepair` stall cycles observed so far.
-    #[must_use]
-    pub fn repair_stalls(&self) -> u64 {
-        self.repair_stalls
-    }
-
-    /// Verifies that every flush is attributable to a recorded
-    /// misprediction and paid for with exactly one redirect window of
-    /// repair stalls.
-    pub fn verify(&self, mispredicted: u64, mispredict_penalty: u64) -> Result<(), FlushViolation> {
-        let expected_repair = self.flushes * (mispredict_penalty + 1);
-        if self.flushes == mispredicted && self.repair_stalls == expected_repair {
-            Ok(())
-        } else {
-            Err(FlushViolation {
-                flushes: self.flushes,
-                mispredicted,
-                repair_stalls: self.repair_stalls,
-                expected_repair_stalls: expected_repair,
-            })
-        }
-    }
-}
-
-impl PipelineObserver for FlushAccountant {
-    fn flush(&mut self, _cycle: u64, squashed: u64) {
-        self.flushes += 1;
-        self.squashed += squashed;
-    }
-    fn stall(&mut self, _cycle: u64, reason: StallReason) {
-        if reason == StallReason::MispredictRepair {
-            self.repair_stalls += 1;
-        }
-    }
-}
-
-/// Observer that accumulates a per-reason stall histogram (plus issue
-/// cycles and occupancy), for the bench harness's stall-breakdown tables.
-#[derive(Debug, Default, Clone)]
+/// Every core keeps one in its [`RunStats`](crate::RunStats), fed once
+/// per event, and checks it with [`RunStats::verify`](crate::RunStats::verify)
+/// before returning. Attached as an observer, a second histogram tallies
+/// the event stream on its own, which [`StallHistogram::verify`] checks.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct StallHistogram {
     issue_cycles: u64,
     stall_cycles: [u64; StallReason::ALL.len()],
     cycles: u64,
     occupancy_sum: u64,
+    occupancy_peak: u32,
 }
 
 impl StallHistogram {
@@ -399,11 +200,18 @@ impl StallHistogram {
         }
     }
 
+    /// Peak window occupancy observed.
+    #[must_use]
+    pub fn peak_occupancy(&self) -> u32 {
+        self.occupancy_peak
+    }
+
     /// Accumulates another histogram into this one (suite totals).
     pub fn absorb(&mut self, other: &StallHistogram) {
         self.issue_cycles += other.issue_cycles;
         self.cycles += other.cycles;
         self.occupancy_sum += other.occupancy_sum;
+        self.occupancy_peak = self.occupancy_peak.max(other.occupancy_peak);
         for (into, from) in self.stall_cycles.iter_mut().zip(other.stall_cycles) {
             *into += from;
         }
@@ -421,6 +229,46 @@ impl StallHistogram {
             })
             .collect()
     }
+
+    /// Checks the cycle identity against a run's final cycle count: the
+    /// attributed events must sum to `cycles`, and exactly one
+    /// `cycle_end` must have been seen per cycle (catching simulators
+    /// that drop or double-count cycles).
+    ///
+    /// # Errors
+    /// The structured [`AccountingViolation`] report (boxed: it carries
+    /// every per-reason count).
+    pub fn verify(&self, cycles: u64) -> Result<(), Box<AccountingViolation>> {
+        self.check(cycles, None)
+    }
+
+    /// [`StallHistogram::verify`], plus, given `(mispredicted,
+    /// mispredict_penalty)`, the flush identity: each misprediction
+    /// stalls fetch for exactly its redirect window of `penalty + 1`
+    /// [`StallReason::MispredictRepair`] cycles.
+    pub(crate) fn check(
+        &self,
+        cycles: u64,
+        repairs: Option<(u64, u64)>,
+    ) -> Result<(), Box<AccountingViolation>> {
+        let repair_stalls = self.stalls(StallReason::MispredictRepair);
+        let expected_repair_stalls = repairs.map_or(repair_stalls, |(mispredicted, penalty)| {
+            mispredicted * (penalty + 1)
+        });
+        let balanced = self.issue_cycles + self.total_stalls() == cycles && self.cycles == cycles;
+        if balanced && repair_stalls == expected_repair_stalls {
+            Ok(())
+        } else {
+            Err(Box::new(AccountingViolation {
+                cycles,
+                issue_cycles: self.issue_cycles,
+                stall_cycles: self.stall_cycles,
+                cycles_seen: self.cycles,
+                mispredicted: repairs.map_or(0, |(mispredicted, _)| mispredicted),
+                expected_repair_stalls,
+            }))
+        }
+    }
 }
 
 impl PipelineObserver for StallHistogram {
@@ -433,206 +281,14 @@ impl PipelineObserver for StallHistogram {
     fn cycle_end(&mut self, _cycle: u64, occupancy: u32) {
         self.cycles += 1;
         self.occupancy_sum += u64::from(occupancy);
-    }
-}
-
-/// One buffered Chrome `trace_event`.
-#[derive(Debug, Clone)]
-enum TraceEvent {
-    /// Complete ("X") duration event on a functional-unit track.
-    Span {
-        ts: u64,
-        dur: u64,
-        tid: u32,
-        name: String,
-    },
-    /// Instant ("i") event (commits, flushes, stalls).
-    Instant { ts: u64, tid: u32, name: String },
-    /// Counter ("C") sample of window occupancy.
-    Counter { ts: u64, value: u32 },
-}
-
-impl TraceEvent {
-    fn ts(&self) -> u64 {
-        match self {
-            TraceEvent::Span { ts, .. }
-            | TraceEvent::Instant { ts, .. }
-            | TraceEvent::Counter { ts, .. } => *ts,
-        }
-    }
-}
-
-/// Observer that records a Chrome `trace_event` timeline: one track
-/// ("thread") per functional-unit class carrying a span per dispatched
-/// instruction, instant markers for commits/flushes/stalls, and a counter
-/// track sampling window occupancy each cycle.
-///
-/// [`ChromeTraceObserver::to_json`] serializes the buffered events —
-/// sorted by timestamp, one simulated cycle per microsecond — into a JSON
-/// document that loads directly in `chrome://tracing` (or any Perfetto
-/// viewer). The serialization is self-contained because `ruu-sim-core`
-/// sits below the crate that owns the report writer.
-#[derive(Debug, Default, Clone)]
-pub struct ChromeTraceObserver {
-    events: Vec<TraceEvent>,
-}
-
-/// Track id for instant commit markers.
-const TID_COMMIT: u32 = 90;
-/// Track id for flush markers.
-const TID_FLUSH: u32 = 91;
-/// Track id for stall markers.
-const TID_STALL: u32 = 92;
-
-impl ChromeTraceObserver {
-    /// Creates an empty trace.
-    #[must_use]
-    pub fn new() -> Self {
-        ChromeTraceObserver::default()
-    }
-
-    /// Number of buffered trace events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events have been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Serializes the trace as Chrome `trace_event` JSON. Events are
-    /// emitted in nondecreasing timestamp order; metadata (track names)
-    /// precedes them.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut order: Vec<&TraceEvent> = self.events.iter().collect();
-        order.sort_by_key(|e| e.ts());
-
-        let mut out = String::with_capacity(64 * order.len() + 1024);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, ev: String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&ev);
-        };
-
-        for fu in FuClass::ALL {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{},\
-                     \"args\":{{\"name\":{}}}}}",
-                    fu_tid(fu),
-                    json_string(&format!("fu {fu}")),
-                ),
-            );
-        }
-        for (tid, name) in [
-            (TID_COMMIT, "commit"),
-            (TID_FLUSH, "flush"),
-            (TID_STALL, "stall"),
-        ] {
-            push(
-                &mut out,
-                format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{tid},\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_string(name),
-                ),
-            );
-        }
-
-        for ev in order {
-            let rendered = match ev {
-                TraceEvent::Span { ts, dur, tid, name } => format!(
-                    "{{\"ph\":\"X\",\"name\":{},\"cat\":\"fu\",\"pid\":1,\"tid\":{tid},\
-                     \"ts\":{ts},\"dur\":{dur}}}",
-                    json_string(name),
-                ),
-                TraceEvent::Instant { ts, tid, name } => format!(
-                    "{{\"ph\":\"i\",\"name\":{},\"cat\":\"pipe\",\"s\":\"t\",\"pid\":1,\
-                     \"tid\":{tid},\"ts\":{ts}}}",
-                    json_string(name),
-                ),
-                TraceEvent::Counter { ts, value } => format!(
-                    "{{\"ph\":\"C\",\"name\":\"window occupancy\",\"pid\":1,\"tid\":0,\
-                     \"ts\":{ts},\"args\":{{\"entries\":{value}}}}}"
-                ),
-            };
-            push(&mut out, rendered);
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn fu_tid(fu: FuClass) -> u32 {
-    fu.index() as u32 + 1
-}
-
-/// Renders `s` as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-impl PipelineObserver for ChromeTraceObserver {
-    fn dispatch(&mut self, cycle: u64, seq: u64, fu: FuClass, complete_at: u64) {
-        self.events.push(TraceEvent::Span {
-            ts: cycle,
-            dur: complete_at.saturating_sub(cycle).max(1),
-            tid: fu_tid(fu),
-            name: format!("#{seq} {fu}"),
-        });
-    }
-    fn commit(&mut self, cycle: u64, seq: u64) {
-        self.events.push(TraceEvent::Instant {
-            ts: cycle,
-            tid: TID_COMMIT,
-            name: format!("commit #{seq}"),
-        });
-    }
-    fn flush(&mut self, cycle: u64, squashed: u64) {
-        self.events.push(TraceEvent::Instant {
-            ts: cycle,
-            tid: TID_FLUSH,
-            name: format!("flush ({squashed} squashed)"),
-        });
-    }
-    fn stall(&mut self, cycle: u64, reason: StallReason) {
-        self.events.push(TraceEvent::Instant {
-            ts: cycle,
-            tid: TID_STALL,
-            name: reason.to_string(),
-        });
-    }
-    fn cycle_end(&mut self, cycle: u64, occupancy: u32) {
-        self.events.push(TraceEvent::Counter {
-            ts: cycle,
-            value: occupancy,
-        });
+        self.occupancy_peak = self.occupancy_peak.max(occupancy);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::RunStats;
 
     fn drive(obs: &mut dyn PipelineObserver) {
         // Cycle 0: issue an instruction that occupies the scalar adder.
@@ -650,33 +306,45 @@ mod tests {
         obs.cycle_end(2, 0);
     }
 
+    /// A run's stats with `tally` as its tally.
+    fn stats(tally: StallHistogram, mispredicted_branches: u64) -> RunStats {
+        RunStats {
+            tally,
+            mispredicted_branches,
+            ..RunStats::default()
+        }
+    }
+
     #[test]
     fn accountant_accepts_balanced_runs() {
-        let mut acc = CycleAccountant::default();
-        drive(&mut acc);
-        assert_eq!(acc.issue_cycles(), 1);
-        assert_eq!(acc.total_stalls(), 2);
-        assert!(acc.verify(3).is_ok());
-        assert!(acc.check(3).is_ok());
+        let mut h = StallHistogram::default();
+        drive(&mut h);
+        assert_eq!(h.issue_cycles(), 1);
+        assert_eq!(h.total_stalls(), 2);
+        assert!(h.verify(3).is_ok());
+        assert!(stats(h, 0).verify(3, 3).is_ok());
     }
 
     #[test]
     fn accountant_reports_unattributed_cycles() {
-        let mut acc = CycleAccountant::default();
-        drive(&mut acc);
-        let v = acc.verify(4).expect_err("one cycle is unattributed");
+        let mut h = StallHistogram::default();
+        drive(&mut h);
+        let v = stats(h.clone(), 0)
+            .verify(4, 3)
+            .expect_err("one cycle is unattributed");
         assert_eq!(v.cycles, 4);
         assert_eq!(v.issue_cycles + v.total_stalls(), 3);
         assert!(v.to_string().contains("cycle accounting violated"));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "cycle accounting violated")]
-    fn accountant_check_panics_in_debug() {
-        let mut acc = CycleAccountant::default();
-        drive(&mut acc);
-        let _ = acc.check(4);
+        // Attributing the cycle is not enough: it also needs its
+        // `cycle_end`.
+        h.stall(3, StallReason::Drained);
+        let v = stats(h.clone(), 0)
+            .verify(4, 3)
+            .expect_err("cycle 3 never ended");
+        assert_eq!(v.issue_cycles + v.total_stalls(), 4);
+        assert_eq!(v.cycles_seen, 3);
+        h.cycle_end(3, 0);
+        assert!(stats(h, 0).verify(4, 3).is_ok());
     }
 
     #[test]
@@ -695,70 +363,37 @@ mod tests {
         );
         let mean = h.mean_occupancy().expect("nonzero cycles");
         assert!((mean - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(h.peak_occupancy(), 1);
 
         let mut total = StallHistogram::default();
         total.absorb(&h);
         total.absorb(&h);
         assert_eq!(total.cycles(), 6);
         assert_eq!(total.total_stalls(), 4);
+        assert_eq!(total.peak_occupancy(), 1);
     }
 
     #[test]
     fn flush_accountant_ties_flushes_to_mispredictions() {
-        let mut acc = FlushAccountant::default();
-        // One mispredict with penalty 3: the flush plus 4 repair stalls.
-        acc.flush(10, 5);
-        for c in 10..14 {
-            acc.stall(c, StallReason::MispredictRepair);
+        // One mispredict with penalty 3: 4 repair stalls, then an
+        // unrelated dead cycle.
+        let mut h = StallHistogram::default();
+        for c in 0..4 {
+            h.stall(c, StallReason::MispredictRepair);
+            h.cycle_end(c, 0);
         }
-        acc.stall(14, StallReason::DeadCycle); // unrelated stall, ignored
-        assert_eq!(acc.flushes(), 1);
-        assert_eq!(acc.squashed(), 5);
-        assert_eq!(acc.repair_stalls(), 4);
-        assert!(acc.verify(1, 3).is_ok());
-        // A flush without a recorded misprediction is a violation.
-        let v = acc.verify(0, 3).expect_err("unattributed flush");
-        assert!(v.to_string().contains("flush accounting violated"));
+        h.stall(4, StallReason::DeadCycle);
+        h.cycle_end(4, 0);
+        assert!(h.verify(5).is_ok(), "the cycle identity alone holds");
+        assert!(stats(h.clone(), 1).verify(5, 3).is_ok());
+        // Repair stalls without a recorded misprediction are a violation.
+        let v = stats(h.clone(), 0)
+            .verify(5, 3)
+            .expect_err("unattributed repair");
+        assert_eq!((v.repair_stalls(), v.expected_repair_stalls), (4, 0));
+        assert!(v.to_string().contains("imply 0 mispredict-repair stalls"));
         // So is a repair window of the wrong width.
-        assert!(acc.verify(1, 2).is_err());
-    }
-
-    #[test]
-    fn tee_duplicates_events() {
-        let mut acc = CycleAccountant::default();
-        let mut hist = StallHistogram::default();
-        {
-            let mut tee = Tee::new(&mut acc, &mut hist);
-            drive(&mut tee);
-        }
-        assert!(acc.verify(3).is_ok());
-        assert_eq!(hist.total_stalls(), 2);
-    }
-
-    #[test]
-    fn chrome_trace_is_sorted_and_balanced() {
-        let mut tr = ChromeTraceObserver::new();
-        drive(&mut tr);
-        assert!(!tr.is_empty());
-        let json = tr.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("window occupancy"));
-        // Timestamps are emitted in nondecreasing order.
-        let mut last = 0u64;
-        for part in json.split("\"ts\":").skip(1) {
-            let digits: String = part.chars().take_while(char::is_ascii_digit).collect();
-            let ts: u64 = digits.parse().expect("ts is an integer");
-            assert!(ts >= last, "timestamps must be sorted");
-            last = ts;
-        }
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("\n"), "\"\\u000a\"");
+        let v = stats(h, 1).verify(5, 2).expect_err("window of 3, not 4");
+        assert_eq!((v.repair_stalls(), v.expected_repair_stalls), (4, 3));
     }
 }

@@ -4,6 +4,8 @@ use std::fmt;
 
 use ruu_exec::{ArchState, Memory};
 
+use crate::observe::{AccountingViolation, StallHistogram};
+
 /// Why the decode/issue stage could not issue an instruction this cycle.
 ///
 /// The categories follow the paper's discussion: operand waits (data
@@ -99,17 +101,14 @@ impl fmt::Display for StallReason {
 /// Counters accumulated during a simulation run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
-    stall_cycles: [u64; StallReason::ALL.len()],
-    /// Cycles in which an instruction issued from decode.
-    pub issue_cycles: u64,
+    /// The decode/issue stage's tally: issue cycles, stall cycles per
+    /// reason, cycles, and window occupancy (sampled at the start of each
+    /// cycle).
+    pub tally: StallHistogram,
     /// Dynamic branches issued.
     pub branches: u64,
     /// Dynamic taken branches.
     pub taken_branches: u64,
-    /// Sum over cycles of window occupancy (for mean occupancy).
-    pub occupancy_sum: u64,
-    /// Peak window occupancy observed.
-    pub occupancy_peak: u32,
     /// Loads satisfied by forwarding from the load registers rather than
     /// memory.
     pub forwarded_loads: u64,
@@ -132,49 +131,41 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Records a stalled decode/issue cycle.
-    pub fn stall(&mut self, reason: StallReason) {
-        self.stall_cycles[reason.idx()] += 1;
-    }
-
     /// Stall cycles attributed to `reason`.
     #[must_use]
     pub fn stalls(&self, reason: StallReason) -> u64 {
-        self.stall_cycles[reason.idx()]
+        self.tally.stalls(reason)
     }
 
-    /// Total stalled decode/issue cycles.
-    #[must_use]
-    pub fn total_stalls(&self) -> u64 {
-        self.stall_cycles.iter().sum()
-    }
-
-    /// Records the window occupancy at the start of a cycle.
-    pub fn observe_occupancy(&mut self, occ: u32) {
-        self.occupancy_sum += u64::from(occ);
-        self.occupancy_peak = self.occupancy_peak.max(occ);
-    }
-
-    /// Mean window occupancy over a run of `cycles` cycles, or `None`
-    /// for an empty (zero-cycle) run.
-    #[must_use]
-    pub fn mean_occupancy(&self, cycles: u64) -> Option<f64> {
-        if cycles == 0 {
-            None
-        } else {
-            Some(self.occupancy_sum as f64 / cycles as f64)
-        }
+    /// Checks a finished run of `cycles` cycles against both accounting
+    /// identities:
+    ///
+    /// ```text
+    /// cycles                  == issue_cycles + Σ stall_cycles   (one cycle_end per cycle)
+    /// MispredictRepair stalls == mispredicted_branches × (mispredict_penalty + 1)
+    /// ```
+    ///
+    /// Every core runs this before it returns a result.
+    ///
+    /// # Errors
+    /// The structured [`AccountingViolation`] report.
+    pub fn verify(
+        &self,
+        cycles: u64,
+        mispredict_penalty: u64,
+    ) -> Result<(), Box<AccountingViolation>> {
+        self.tally.check(
+            cycles,
+            Some((self.mispredicted_branches, mispredict_penalty)),
+        )
     }
 }
 
 impl fmt::Display for RunStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "issue cycles     {:>10}", self.issue_cycles)?;
-        for r in StallReason::ALL {
-            let n = self.stalls(r);
-            if n > 0 {
-                writeln!(f, "stall {r:<22} {n:>10}")?;
-            }
+        writeln!(f, "issue cycles     {:>10}", self.tally.issue_cycles())?;
+        for (r, n) in self.tally.rows() {
+            writeln!(f, "stall {r:<22} {n:>10}")?;
         }
         writeln!(
             f,
@@ -196,12 +187,11 @@ impl fmt::Display for RunStats {
                 self.dcache_accesses, self.dcache_hits, self.dcache_misses
             )?;
         }
-        let cycles = self.issue_cycles + self.total_stalls();
-        match self.mean_occupancy(cycles) {
+        match self.tally.mean_occupancy() {
             Some(mean) => writeln!(
                 f,
                 "occupancy        {mean:>10.2} mean / {} peak",
-                self.occupancy_peak
+                self.tally.peak_occupancy()
             )?,
             None => writeln!(f, "occupancy        {:>10} (empty run)", "-")?,
         }
@@ -264,36 +254,31 @@ impl RunResult {
     pub fn speedup_vs(&self, baseline_cycles: u64) -> f64 {
         self.try_speedup_vs(baseline_cycles).unwrap_or(0.0)
     }
-
-    /// Mean window occupancy over the run, or `None` for an empty run.
-    #[must_use]
-    pub fn mean_occupancy(&self) -> Option<f64> {
-        self.stats.mean_occupancy(self.cycles)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::PipelineObserver;
 
     #[test]
     fn stall_accounting() {
         let mut s = RunStats::default();
-        s.stall(StallReason::FuBusy);
-        s.stall(StallReason::FuBusy);
-        s.stall(StallReason::DeadCycle);
+        s.tally.stall(0, StallReason::FuBusy);
+        s.tally.stall(1, StallReason::FuBusy);
+        s.tally.stall(2, StallReason::DeadCycle);
         assert_eq!(s.stalls(StallReason::FuBusy), 2);
-        assert_eq!(s.total_stalls(), 3);
+        assert_eq!(s.tally.total_stalls(), 3);
         assert!(s.to_string().contains("fu-busy"));
     }
 
     #[test]
     fn occupancy_tracking() {
         let mut s = RunStats::default();
-        s.observe_occupancy(2);
-        s.observe_occupancy(6);
-        assert_eq!(s.occupancy_sum, 8);
-        assert_eq!(s.occupancy_peak, 6);
+        s.tally.cycle_end(0, 2);
+        s.tally.cycle_end(1, 6);
+        assert_eq!(s.tally.mean_occupancy(), Some(4.0));
+        assert_eq!(s.tally.peak_occupancy(), 6);
     }
 
     #[test]
@@ -322,7 +307,7 @@ mod tests {
         };
         assert_eq!(r.try_issue_rate(), None);
         assert_eq!(r.try_speedup_vs(400), None);
-        assert_eq!(r.mean_occupancy(), None);
+        assert_eq!(r.stats.tally.mean_occupancy(), None);
         // The legacy helpers keep their documented NaN-free sentinel.
         assert_eq!(r.issue_rate(), 0.0);
         assert_eq!(r.speedup_vs(400), 0.0);
@@ -330,16 +315,16 @@ mod tests {
 
     #[test]
     fn occupancy_in_display_and_mean() {
-        let mut s = RunStats {
-            issue_cycles: 2,
-            ..RunStats::default()
-        };
-        s.stall(StallReason::Drained);
-        s.observe_occupancy(2);
-        s.observe_occupancy(4);
-        s.observe_occupancy(6);
-        assert_eq!(s.mean_occupancy(3), Some(4.0));
-        assert_eq!(s.mean_occupancy(0), None);
+        let mut s = RunStats::default();
+        assert_eq!(s.tally.mean_occupancy(), None);
+        s.tally.issue(0, 0);
+        s.tally.issue(1, 1);
+        s.tally.stall(2, StallReason::Drained);
+        for (cycle, occ) in [(0, 2), (1, 4), (2, 6)] {
+            s.tally.cycle_end(cycle, occ);
+        }
+        assert_eq!(s.tally.mean_occupancy(), Some(4.0));
+        assert!(s.verify(3, 0).is_ok());
         let shown = s.to_string();
         assert!(shown.contains("occupancy"));
         assert!(shown.contains("6 peak"));

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "--- {m}: {} cycles, IPC {:.3}, window peak {} ---",
             r.cycles,
             r.issue_rate(),
-            r.stats.occupancy_peak
+            r.stats.tally.peak_occupancy()
         );
         println!("{}", r.stats);
     }

@@ -47,10 +47,11 @@
 //! predictors themselves.
 //!
 //! The `trace` subcommand runs one workload with a
-//! [`ruu::sim::ChromeTraceObserver`] attached and writes Chrome
-//! `trace_event` JSON (open in `chrome://tracing` or Perfetto). A
-//! [`ruu::sim::CycleAccountant`] rides along; the command fails (nonzero
-//! exit) if the run violates `cycles == issue + Σ stalls`.
+//! [`ruu::engine::json::ChromeTraceObserver`] attached and writes Chrome
+//! `trace_event` JSON (open in `chrome://tracing` or Perfetto), then
+//! prints the run's own tally: every core checks
+//! `cycles == issue + Σ stalls` before returning, so a run that breaks
+//! it fails (nonzero exit) with the violation.
 //!
 //! The `lint` subcommand runs the `ruu::analysis` static lints (CFG
 //! shape, uninitialized reads, dead writes, memory footprint) over the
@@ -66,14 +67,14 @@
 use std::process::ExitCode;
 
 use ruu::analysis::{apply_waivers, branch_sites, lint, LintOptions, Severity};
-use ruu::engine::json::JsonWriter;
+use ruu::engine::json::{ChromeTraceObserver, JsonWriter};
 use ruu::engine::{Job, JobResult, SweepEngine};
 use ruu::exec::{ArchState, Memory};
 use ruu::isa::text;
 use ruu::issue::{Bypass, Mechanism, PreciseScheme};
 use ruu::predict::cbp::{evaluate_with_btb, BranchStream, BtbStats, CbpResult};
 use ruu::predict::{Btb, PredictorConfig};
-use ruu::sim::{ChromeTraceObserver, CycleAccountant, DCacheConfig, MachineConfig, Tee};
+use ruu::sim::{DCacheConfig, MachineConfig};
 use ruu::workloads::{livermore, Workload};
 
 /// Maps a CLI mechanism name (sized by `entries`; the speculative machine
@@ -411,15 +412,13 @@ fn run_trace(args: impl Iterator<Item = String>) -> Result<(), String> {
     let sim = mechanism_by_name(name, entries, PredictorConfig::default())?.build(&cfg);
 
     let mut trace = ChromeTraceObserver::default();
-    let mut acct = CycleAccountant::default();
-    let mut tee = Tee::new(&mut trace, &mut acct);
     let r = sim
         .run_observed(
             ArchState::new(),
             w.memory.clone(),
             &w.program,
             w.inst_limit,
-            &mut tee,
+            &mut trace,
         )
         .map_err(|e| format!("{}: {e}", w.name))?;
     w.verify(&r.memory)
@@ -430,11 +429,10 @@ fn run_trace(args: impl Iterator<Item = String>) -> Result<(), String> {
         "trace: {name} on {}: {} instructions in {} cycles -> {path}",
         w.name, r.instructions, r.cycles
     );
-    acct.verify(r.cycles).map_err(|v| v.to_string())?;
     println!(
         "accounting ok: {} issue + {} stall cycles = {} cycles",
-        acct.issue_cycles(),
-        acct.total_stalls(),
+        r.stats.tally.issue_cycles(),
+        r.stats.tally.total_stalls(),
         r.cycles
     );
     Ok(())

@@ -6,17 +6,23 @@
 //! cycles == issue_cycles + Σ stall_cycles
 //! ```
 //!
-//! with exactly one `cycle_end` observation per simulated cycle — and
-//! attaching an observer never changes the simulated numbers. Also the
-//! golden check that the Chrome-trace observer emits valid,
+//! with exactly one `cycle_end` per simulated cycle. Every core checks
+//! this (and the flush identity) on its own tally before it returns;
+//! these tests also tally the observer's event stream separately, and
+//! check that attaching an observer never changes the simulated numbers.
+//! One proptest checks every oracle at once on random programs: the
+//! in-core identities, golden equivalence, and the dataflow bound. Also
+//! the golden check that the Chrome-trace observer emits valid,
 //! monotonically-timestamped `trace_event` JSON.
 
 use proptest::prelude::*;
 
-use ruu::exec::ArchState;
+use ruu::analysis::dataflow_bound;
+use ruu::engine::json::ChromeTraceObserver;
+use ruu::exec::{ArchState, Trace};
 use ruu::issue::{Bypass, IssueSimulator, Mechanism, PreciseScheme, Ruu};
 use ruu::predict::PredictorConfig;
-use ruu::sim::{ChromeTraceObserver, CycleAccountant, FlushAccountant, MachineConfig, Tee};
+use ruu::sim::{DCacheConfig, MachineConfig, PipelineObserver, StallHistogram, StallReason};
 use ruu::workloads::livermore;
 use ruu::workloads::synth::{random_program, SynthConfig};
 
@@ -76,20 +82,45 @@ fn identity_holds_for_every_mechanism_on_every_livermore_loop() {
     let cfg = MachineConfig::paper();
     for w in livermore::all() {
         for (name, sim) in all_simulators(&cfg, 15) {
-            let mut acct = CycleAccountant::default();
+            let mut hist = StallHistogram::default();
             let r = sim
                 .run_observed(
                     ArchState::new(),
                     w.memory.clone(),
                     &w.program,
                     w.inst_limit,
-                    &mut acct,
+                    &mut hist,
                 )
                 .unwrap_or_else(|e| panic!("{name} failed on {}: {e}", w.name));
             w.verify(&r.memory)
                 .unwrap_or_else(|e| panic!("{name} wrong result on {}: {e}", w.name));
-            acct.verify(r.cycles)
+            hist.verify(r.cycles)
                 .unwrap_or_else(|v| panic!("{name} on {}: {v}", w.name));
+            assert_eq!(
+                hist, r.stats.tally,
+                "{name} on {}: the event stream and the core's tally differ",
+                w.name
+            );
+        }
+    }
+}
+
+/// Counts the flush events of a run and the repair stalls they cost.
+#[derive(Default)]
+struct FlushCount {
+    flushes: u64,
+    squashed: u64,
+    repair_stalls: u64,
+}
+
+impl PipelineObserver for FlushCount {
+    fn flush(&mut self, _cycle: u64, squashed: u64) {
+        self.flushes += 1;
+        self.squashed += squashed;
+    }
+    fn stall(&mut self, _cycle: u64, reason: StallReason) {
+        if reason == StallReason::MispredictRepair {
+            self.repair_stalls += 1;
         }
     }
 }
@@ -100,8 +131,9 @@ fn every_flush_is_an_attributed_misprediction() {
     // the speculative machine's flush count equals its misprediction
     // count, and every flush charges exactly `penalty + 1` cycles of
     // mispredict-repair stall (the squash cycle plus the redirect
-    // penalty). An unattributed flush — or a repair window of the wrong
-    // width — fails here.
+    // penalty). The core checks the repair width on its own tally; this
+    // checks the observed events. An unattributed flush — or a repair
+    // window of the wrong width — fails here.
     let cfg = MachineConfig::paper();
     for w in livermore::all() {
         for predictor in PredictorConfig::zoo() {
@@ -111,20 +143,26 @@ fn every_flush_is_an_attributed_misprediction() {
                 predictor,
             };
             let sim = m.build(&cfg);
-            let mut acct = FlushAccountant::default();
+            let mut seen = FlushCount::default();
             let r = sim
                 .run_observed(
                     ArchState::new(),
                     w.memory.clone(),
                     &w.program,
                     w.inst_limit,
-                    &mut acct,
+                    &mut seen,
                 )
                 .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name));
             w.verify(&r.memory)
                 .unwrap_or_else(|e| panic!("{m} wrong result on {}: {e}", w.name));
-            acct.verify(r.stats.mispredicted_branches, cfg.mispredict_penalty)
-                .unwrap_or_else(|v| panic!("{m} on {}: {v}", w.name));
+            let what = format!("{m} on {}", w.name);
+            assert_eq!(seen.flushes, r.stats.mispredicted_branches, "{what}");
+            assert_eq!(
+                seen.repair_stalls,
+                seen.flushes * (cfg.mispredict_penalty + 1),
+                "{what}: repair window width"
+            );
+            assert_eq!(seen.squashed, r.stats.nullified, "{what}: squashed");
         }
     }
 }
@@ -137,20 +175,62 @@ fn observation_does_not_change_the_simulation() {
         let plain = sim
             .run(&w.program, w.memory.clone(), w.inst_limit)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut acct = CycleAccountant::default();
+        let mut hist = StallHistogram::default();
         let observed = sim
             .run_observed(
                 ArchState::new(),
                 w.memory.clone(),
                 &w.program,
                 w.inst_limit,
-                &mut acct,
+                &mut hist,
             )
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(plain.cycles, observed.cycles, "{name} cycles");
         assert_eq!(plain.instructions, observed.instructions, "{name} insts");
         assert_eq!(plain.state, observed.state, "{name} state");
     }
+}
+
+/// Every mechanism the joint oracle covers: the simple baseline, the
+/// four tagged windows, the RUU under each bypass policy, the four §4
+/// schemes, and the speculative RUU under a weak and a strong predictor.
+fn oracle_mechanisms(entries: usize) -> Vec<Mechanism> {
+    let rs_per_fu = entries / 4 + 1;
+    let mut ms = vec![
+        Mechanism::Simple,
+        Mechanism::Tomasulo { rs_per_fu },
+        Mechanism::TagUnitDistributed {
+            rs_per_fu,
+            tags: entries,
+        },
+        Mechanism::RsPool {
+            rs: entries,
+            tags: entries,
+        },
+        Mechanism::Rstu { entries },
+    ];
+    for bypass in [Bypass::Full, Bypass::None, Bypass::LimitedA] {
+        ms.push(Mechanism::Ruu { entries, bypass });
+    }
+    for scheme in [
+        PreciseScheme::ReorderBuffer,
+        PreciseScheme::ReorderBufferBypass,
+        PreciseScheme::HistoryBuffer,
+        PreciseScheme::FutureFile,
+    ] {
+        ms.push(Mechanism::InOrderPrecise { scheme, entries });
+    }
+    for predictor in [
+        PredictorConfig::TwoBit { entries: 64 },
+        PredictorConfig::Tage { entries: 512 },
+    ] {
+        ms.push(Mechanism::SpecRuu {
+            entries,
+            bypass: Bypass::Full,
+            predictor,
+        });
+    }
+    ms
 }
 
 proptest! {
@@ -173,14 +253,66 @@ proptest! {
         let (program, mem) = random_program(seed, &synth);
         let cfg = MachineConfig::paper().with_load_registers(loadregs);
         for (name, sim) in all_simulators(&cfg, entries) {
-            let mut acct = CycleAccountant::default();
+            let mut hist = StallHistogram::default();
             let r = sim
-                .run_observed(ArchState::new(), mem.clone(), &program, LIMIT, &mut acct)
+                .run_observed(ArchState::new(), mem.clone(), &program, LIMIT, &mut hist)
                 .unwrap_or_else(|e| panic!("{name} failed on seed {seed}: {e}"));
-            let v = acct.verify(r.cycles);
+            let v = hist.verify(r.cycles);
             prop_assert!(v.is_ok(), "{} on seed {}: {}", name, seed, v.unwrap_err());
+            prop_assert_eq!(&hist, &r.stats.tally, "{} on seed {}: event stream vs tally", name, seed);
         }
     }
+
+    /// Every oracle at once: each run returns `Ok` (so both in-core
+    /// accounting identities held), matches the golden interpreter's
+    /// registers, memory and instruction count, and never beats the
+    /// dataflow limit, on the perfect memory and two finite caches.
+    #[test]
+    fn every_oracle_holds_on_random_programs(
+        seed in 0u64..1_000_000,
+        entries in 2usize..24,
+        loadregs in 1usize..7,
+        mem_ops in proptest::bool::ANY,
+        small in proptest::bool::ANY,
+    ) {
+        let synth = if small {
+            SynthConfig {
+                segments: 3,
+                block_len: 8,
+                max_trips: 6,
+                mem_ops,
+                hot_addresses: false,
+            }
+        } else {
+            SynthConfig { mem_ops, ..SynthConfig::default() }
+        };
+        let (program, mem) = random_program(seed, &synth);
+        let golden = Trace::capture(&program, mem.clone(), LIMIT).expect("golden runs");
+        for dcache in [DCacheConfig::Perfect, dcache("16x2x4:20"), dcache("64x4x8:60")] {
+            let cfg = MachineConfig::paper()
+                .with_load_registers(loadregs)
+                .with_dcache(dcache);
+            let bound = dataflow_bound(&golden, &cfg).bound;
+            for m in oracle_mechanisms(entries) {
+                let what = format!("{m} under {:?} on seed {seed}", cfg.dcache);
+                let r = m.run(&cfg, &program, mem.clone(), LIMIT);
+                prop_assert!(r.is_ok(), "{}: {}", what, r.unwrap_err());
+                let r = r.expect("checked above");
+                prop_assert_eq!(r.instructions, golden.len() as u64, "{} count", what);
+                prop_assert_eq!(&r.state.regs, &golden.final_state().regs, "{} regs", what);
+                prop_assert_eq!(&r.memory, golden.final_memory(), "{} memory", what);
+                prop_assert!(
+                    r.cycles >= bound,
+                    "{}: {} cycles beats bound {}",
+                    what, r.cycles, bound
+                );
+            }
+        }
+    }
+}
+
+fn dcache(spec: &str) -> DCacheConfig {
+    DCacheConfig::parse(spec).expect("cache geometry parses")
 }
 
 // ---- Chrome trace golden checks ---------------------------------------
@@ -265,18 +397,16 @@ fn chrome_trace_is_valid_and_monotonically_timestamped() {
     }
     .build(&cfg);
     let mut trace = ChromeTraceObserver::default();
-    let mut acct = CycleAccountant::default();
-    let mut tee = Tee::new(&mut trace, &mut acct);
     let r = sim
         .run_observed(
             ArchState::new(),
             w.memory.clone(),
             &w.program,
             w.inst_limit,
-            &mut tee,
+            &mut trace,
         )
         .expect("run completes");
-    acct.verify(r.cycles).expect("accounting holds");
+    r.stats.tally.verify(r.cycles).expect("accounting holds");
 
     let json = trace.to_json();
     assert_valid_json(&json);
@@ -349,7 +479,7 @@ fn memory_state_is_identical_under_observation() {
         let plain = sim
             .run(&program, mem.clone(), LIMIT)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut hist = ruu::sim::StallHistogram::default();
+        let mut hist = StallHistogram::default();
         let observed = sim
             .run_observed(ArchState::new(), mem.clone(), &program, LIMIT, &mut hist)
             .unwrap_or_else(|e| panic!("{name}: {e}"));

@@ -1,7 +1,10 @@
 //! Cross-check of the static analysis layer against every simulator:
 //! the dataflow-limit lower bound must never exceed any mechanism's
 //! measured cycles, the shipped Livermore loops must be lint-clean, and
-//! the CLI lint gate must actually fail on a dirty program.
+//! the CLI lint gate must actually fail on a dirty program. (The bound
+//! on random synthetic programs is also one of the joint oracles of
+//! `cycle_accounting.rs::every_oracle_holds_on_random_programs`, over
+//! more mechanisms and finite caches.)
 
 use std::process::Command;
 

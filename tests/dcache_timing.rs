@@ -19,7 +19,7 @@ use ruu::isa::FuClass;
 use ruu::issue::{Bypass, Mechanism, PreciseScheme};
 use ruu::predict::PredictorConfig;
 use ruu::sim::{
-    CycleAccountant, DCache, DCacheConfig, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind,
+    DCache, DCacheConfig, LoadRegUnit, LrOutcome, MachineConfig, MemOpKind, StallHistogram,
     StallReason,
 };
 use ruu::workloads::livermore;
@@ -273,17 +273,17 @@ fn cycle_accounting_holds_with_mem_stall_under_a_finite_cache() {
     for w in livermore::all() {
         for m in all_mechanisms() {
             let sim = m.build(&cfg);
-            let mut acct = CycleAccountant::default();
+            let mut hist = StallHistogram::default();
             let r = sim
                 .run_observed(
                     ArchState::new(),
                     w.memory.clone(),
                     &w.program,
                     w.inst_limit,
-                    &mut acct,
+                    &mut hist,
                 )
                 .unwrap_or_else(|e| panic!("{m} failed on {}: {e}", w.name));
-            acct.verify(r.cycles)
+            hist.verify(r.cycles)
                 .unwrap_or_else(|v| panic!("{m} on {}: {v}", w.name));
             if matches!(m, Mechanism::Simple | Mechanism::InOrderPrecise { .. }) {
                 mem_stalls += r.stats.stalls(StallReason::MemStall);
