@@ -1,37 +1,33 @@
 //! # ruu-bench — the paper's experiments, regenerated
 //!
-//! One bench target per table/figure of the paper (run with
-//! `cargo bench -p ruu-bench --bench <name>`):
+//! Every table, figure and ablation is one entry of the registry in
+//! [`experiments`], printed by the `experiments` bin
+//! (`cargo run --release -p ruu-bench --bin experiments -- [ID...]`):
 //!
-//! | Target | Paper content |
+//! | Ids | Paper content |
 //! |---|---|
-//! | `table1` | baseline statistics per Livermore loop |
-//! | `table2` | RSTU sweep, 1 dispatch path |
-//! | `table3` | RSTU sweep, 2 dispatch paths |
-//! | `table4` | RUU sweep, full bypass |
-//! | `table5` | RUU sweep, no bypass |
-//! | `table6` | RUU sweep, limited (A future file) bypass |
+//! | `table1`, `stalls` | baseline statistics per Livermore loop, and where its cycles go |
+//! | `table2`, `table3` | RSTU sweep, 1 and 2 dispatch paths |
+//! | `table4`, `table5`, `table6` | RUU sweep: full, no, limited (A future file) bypass |
 //! | `figure3` | Tag Unit walkthrough |
-//! | `ablation_*`, `speculation`, `precision_cost` | extension experiments |
-//! | `throughput` | host simulation speed (criterion) |
+//! | `per-loop`, `spectrum` | Tables 2–6 per loop; the §3→§5 design walk |
+//! | `a1` … `a9` | ablations and extensions (paths, load registers, counters, buses, speculation, precision cost, §4 schemes, predictors, data cache) |
 //!
-//! The library half holds the suite runner ([`harness`]: the shared
-//! engine and the predictor/cache ablations), the paper's published
-//! numbers ([`paper`]), and table formatting ([`report`]), so
+//! The library half holds the registry and its EXPERIMENTS.md checker
+//! ([`experiments`]), the shared engine ([`harness`]), the paper's
+//! published numbers ([`paper`]) and table formatting ([`report`]), so
 //! integration tests can assert the *shape* of each reproduced result.
 //!
-//! Every target builds a `Vec<ruu_engine::Job>` and runs it as one grid
-//! on the shared parallel [`ruu_engine::SweepEngine`] (see
+//! [`experiments::run`] runs the jobs of every selected entry as one
+//! grid on the shared parallel [`ruu_engine::SweepEngine`] (see
 //! [`harness::engine`]); the formatters read the resulting
 //! [`ruu_engine::JobResult`]s and their per-workload
-//! [`ruu_engine::WorkloadRow`]s. Set `RUU_BENCH_JOBS=1` to force serial
-//! execution. Results are bit-identical for any worker count.
+//! [`ruu_engine::WorkloadRow`]s. Results are bit-identical for any
+//! worker count.
 
+pub mod experiments;
 pub mod harness;
 pub mod paper;
 pub mod report;
 
-pub use harness::{
-    engine, sweep_serial, try_cache_ablation, try_predictor_ablation, CacheAblationRow,
-    PredictorAblationRow,
-};
+pub use harness::{engine, sweep_serial};

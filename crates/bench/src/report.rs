@@ -1,10 +1,9 @@
-//! Table formatting for the bench targets: measured values printed next
-//! to the paper's published numbers.
+//! Table formatting for the experiment registry: measured values
+//! printed next to the paper's published numbers.
 
-use crate::harness::{CacheAblationRow, PredictorAblationRow};
 use crate::paper;
 use ruu_engine::{JobResult, WorkloadRow};
-use ruu_sim_core::{StallHistogram, StallReason};
+use ruu_sim_core::{DCacheConfig, StallHistogram, StallReason};
 
 /// Formats a Table-1-style report (per-loop statistics plus a `Total`
 /// row) with the paper's numbers alongside. A zero-cycle row reports a
@@ -80,43 +79,12 @@ pub fn format_sweep(title: &str, jobs: &[JobResult], paper_table: &[(usize, f64,
     out
 }
 
-/// Formats the speculative-RUU predictor-ablation table: CBP-replay
-/// mispredictions next to the pipeline's prediction counts, repair
-/// cycles, and the resulting cycles/speedup, one row per zoo predictor.
+/// Formats the data-cache ablation table: `jobs` holds one group per
+/// mechanism, one job per model in `dcaches` (perfect first), and each
+/// row reports the cycle price (`slowdown`) its mechanism pays for that
+/// memory path.
 #[must_use]
-pub fn format_predictor_ablation(title: &str, rows: &[PredictorAblationRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "### {title}");
-    let _ = writeln!(
-        out,
-        "| Predictor | CBP miss | predicts | mispredicts | repair cycles | cycles | speedup |"
-    );
-    let _ = writeln!(
-        out,
-        "|-----------|---------:|---------:|------------:|--------------:|-------:|--------:|"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "| {:<9} | {:>8} | {:>8} | {:>11} | {:>13} | {:>6} | {:>7.3} |",
-            r.predictor,
-            r.cbp_mispredicts,
-            r.predicts,
-            r.mispredicts,
-            r.flush_cycles,
-            r.cycles,
-            r.speedup,
-        );
-    }
-    out
-}
-
-/// Formats the data-cache ablation table: per mechanism, the perfect
-/// memory followed by each finite cache model, with the cycle price
-/// (`slowdown`) each mechanism pays for the real memory path.
-#[must_use]
-pub fn format_cache_ablation(title: &str, rows: &[CacheAblationRow]) -> String {
+pub fn format_cache_ablation(title: &str, jobs: &[JobResult], dcaches: &[DCacheConfig]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "### {title}");
@@ -128,28 +96,29 @@ pub fn format_cache_ablation(title: &str, rows: &[CacheAblationRow]) -> String {
         out,
         "|-----------|--------|-------:|---------:|--------:|---------:|-----:|"
     );
-    let mut last = "";
-    for r in rows {
-        let label = if r.mechanism == last {
-            ""
-        } else {
-            &r.mechanism
-        };
-        last = &r.mechanism;
-        let (hit_rate, mpki) = r.cache.map_or_else(
-            || ("-".to_string(), "-".to_string()),
-            |c| {
-                (
-                    format!("{:.1}%", 100.0 * c.hit_rate()),
-                    format!("{:.1}", c.mpki(r.instructions.max(1))),
-                )
-            },
-        );
-        let _ = writeln!(
-            out,
-            "| {:<18} | {:<14} | {:>7} | {:>7.3}x | {:>7.3} | {hit_rate:>8} | {mpki:>4} |",
-            label, r.dcache, r.cycles, r.slowdown, r.speedup,
-        );
+    for group in jobs.chunks(dcaches.len()) {
+        let base = group[0].cycles as f64;
+        for (i, (j, dc)) in group.iter().zip(dcaches).enumerate() {
+            let label = if i == 0 { j.mechanism.as_str() } else { "" };
+            let (hit_rate, mpki) = j.cache.map_or_else(
+                || ("-".to_string(), "-".to_string()),
+                |c| {
+                    (
+                        format!("{:.1}%", 100.0 * c.hit_rate()),
+                        format!("{:.1}", c.mpki(j.instructions.max(1))),
+                    )
+                },
+            );
+            let _ = writeln!(
+                out,
+                "| {:<18} | {:<14} | {:>7} | {:>7.3}x | {:>7.3} | {hit_rate:>8} | {mpki:>4} |",
+                label,
+                dc.to_string(),
+                j.cycles,
+                j.cycles as f64 / base,
+                j.speedup,
+            );
+        }
     }
     out
 }
